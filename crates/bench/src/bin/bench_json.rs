@@ -28,10 +28,8 @@
 //! the relative overhead stays under 5 % (plus a small absolute slack
 //! for timer noise) and exits non-zero otherwise.
 
-use parcc::threads::{
-    compile_parallel, compile_parallel_cached, compile_parallel_chaos, ChaosPlan, RetryPolicy,
-};
-use parcc::{compile_module_source, CompileOptions, FnCache};
+use parcc::threads::{compile_parallel, compile_parallel_cached, ChaosPlan, RetryPolicy};
+use parcc::{compile_module_source, Build, CompileOptions, FnCache};
 use std::fmt::Write as _;
 use std::time::Instant;
 use warp_workload::{synthetic_program, FunctionSize};
@@ -126,7 +124,13 @@ fn fault_overhead_bench() {
         compile_parallel(&src, &opts, WORKERS).expect("par");
     });
     let chaos_s = median_secs(|| {
-        compile_parallel_chaos(&src, &opts, WORKERS, &chaos, &policy).expect("chaos");
+        Build {
+            jobs: WORKERS,
+            faults: Some((&chaos, &policy)),
+            ..Build::new(&src, &opts)
+        }
+        .run()
+        .expect("chaos");
     });
     let overhead = chaos_s / par_s - 1.0;
 

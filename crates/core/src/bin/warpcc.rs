@@ -58,6 +58,7 @@
 //! warpcc --jobs 8 --time program.w2
 //! warpcc --jobs 0 program.w2        # all available cores
 //! warpcc --jobs 8 --fault-seed 7 program.w2
+//! warpcc --jobs 8 --fault-seed 7 --cache-dir .warpcc-cache program.w2
 //! warpcc --farm 4 program.w2
 //! warpcc --farm 4 --cache-dir .warpcc-cache program.w2
 //! warpcc --farm 4 --fault-seed 7 program.w2
@@ -67,13 +68,8 @@
 //! warpcc --run dot8 2.0 i4 program.w2
 //! ```
 
-use parcc::threads::{
-    compile_parallel_cached_traced, compile_parallel_chaos_traced, compile_parallel_traced,
-    ChaosPlan, RetryPolicy,
-};
-use parcc::{
-    compile_module_cached_traced, compile_module_traced, CompileOptions, CompileResult, FnCache,
-};
+use parcc::threads::{ChaosPlan, RetryPolicy};
+use parcc::{Build, CompileOptions, CompileResult, FnCache};
 use std::io::Read;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -407,16 +403,15 @@ fn real_main() -> Result<(), String> {
     if args.farm.is_some() && args.workers.is_some() {
         return Err("--farm does not combine with --jobs (pick one executor)".to_string());
     }
-    // A --cache-dir persists compiled functions across runs;
-    // --cache-stats alone still counts hits and misses in memory.
-    // The farm opens the shared store itself (it is the transport),
-    // so farm mode skips the in-process handle.
+    // A --cache-dir persists compiled functions across runs (and is
+    // the farm's shared object store); --cache-stats alone still
+    // counts hits and misses in memory. A farm without --cache-dir
+    // brings its own private on-disk store.
     let cache = match &args.cache_dir {
-        _ if args.farm.is_some() => None,
         Some(dir) => {
             Some(FnCache::with_dir(dir).map_err(|e| format!("opening cache dir {dir}: {e}"))?)
         }
-        None if args.cache_stats => Some(FnCache::in_memory()),
+        None if args.cache_stats && args.farm.is_none() => Some(FnCache::in_memory()),
         None => None,
     };
     // Fault injection exists in the threaded executor and the farm.
@@ -424,11 +419,6 @@ fn real_main() -> Result<(), String> {
         (Some(seed), spec) => {
             if args.workers.is_none() && args.farm.is_none() {
                 return Err("--fault-seed needs --jobs or --farm".to_string());
-            }
-            if cache.is_some() {
-                return Err(
-                    "--fault-seed does not combine with --cache-dir/--cache-stats".to_string(),
-                );
             }
             let chaos = ChaosPlan::from_seed(seed);
             let policy = RetryPolicy::default();
@@ -440,82 +430,40 @@ fn real_main() -> Result<(), String> {
         (None, Some(_)) => return Err("--fault-spec needs --fault-seed".to_string()),
         (None, None) => None,
     };
+    let farm = args.farm.map(parcc::FarmConfig::new);
     let t0 = std::time::Instant::now();
-    let result = if let Some(w) = args.farm {
-        let mut cfg = parcc::FarmConfig::new(w);
-        cfg.cache_dir = args.cache_dir.as_ref().map(std::path::PathBuf::from);
-        if let Some((chaos, policy)) = &faults {
-            cfg.chaos = Some(chaos.clone());
-            cfg.policy = policy.clone();
-        }
-        let (r, report) =
-            parcc::compile_farm_traced(&source, &opts, &cfg, &trace).map_err(|e| e.to_string())?;
-        if args.time {
-            eprintln!(
-                "phase1 {:?}, farm compile {:?} ({} worker(s), {} lost), link {:?}",
-                report.phase1_wall,
-                report.compile_wall,
-                report.workers_spawned,
-                report.workers_lost,
-                report.link_wall
-            );
-        }
+    let (result, report) = Build {
+        jobs: args.farm.or(args.workers).unwrap_or(1),
+        farm: farm.as_ref(),
+        cache: cache.as_ref(),
+        trace: &trace,
+        faults: faults.as_ref().map(|(chaos, policy)| (chaos, policy)),
+        ..Build::new(&source, &opts)
+    }
+    .run()
+    .map_err(|e| e.to_string())?;
+    if args.time {
+        eprintln!(
+            "phase1 {:?}, compile {:?} ({} worker(s)), link {:?}",
+            report.phase1_wall, report.compile_wall, report.workers, report.link_wall
+        );
+    }
+    if let Some(census) = &report.farm {
         if args.cache_stats || args.cache_dir.is_some() {
             eprintln!(
                 "farm cache: {} pre-dispatch hit(s), {} hash-shipped, {} bytes-shipped",
-                report.cache_hits, report.hash_shipped, report.bytes_shipped
+                report.cache_hits, census.hash_shipped, census.bytes_shipped
             );
         }
-        if let Some((chaos, _)) = &faults {
-            let s = &report.faults;
-            eprintln!(
-                "farm faults (seed {}): {} kill(s), {} exit(s), {} stall(s), {} timeout(s), \
-                 {} retry(ies), {} rebalance(s), {} coordinator fallback(s)",
-                chaos.seed,
-                s.kills,
-                s.exits,
-                s.stalls,
-                s.timeouts,
-                s.retries,
-                s.rebalances,
-                s.coordinator_fallbacks
-            );
-        }
-        r
-    } else {
-        match (args.workers, &cache) {
-            (None, None) => {
-                compile_module_traced(&source, &opts, &trace).map_err(|e| e.to_string())?
-            }
-            (None, Some(c)) => compile_module_cached_traced(&source, &opts, c, &trace)
-                .map_err(|e| e.to_string())?,
-            (Some(w), c) => {
-                let (r, report) = match (&faults, c) {
-                    (Some((chaos, policy)), _) => {
-                        compile_parallel_chaos_traced(&source, &opts, w, chaos, policy, &trace)
-                    }
-                    (None, None) => compile_parallel_traced(&source, &opts, w, &trace),
-                    (None, Some(c)) => compile_parallel_cached_traced(&source, &opts, w, c, &trace),
-                }
-                .map_err(|e| e.to_string())?;
-                if args.time {
-                    eprintln!(
-                        "phase1 {:?}, parallel compile {:?} ({w} workers), link {:?}",
-                        report.phase1_wall, report.compile_wall, report.link_wall
-                    );
-                }
-                if let Some((chaos, _)) = &faults {
-                    let s = report.faults;
-                    eprintln!(
-                    "faults (seed {}): {} panic(s), {} lost, {} timeout(s), {} retry round(s), \
-                     {} in-master fallback(s)",
-                    chaos.seed, s.panics, s.lost, s.timeouts, s.retries, s.sequential_fallbacks
-                );
-                }
-                r
-            }
-        }
-    };
+    }
+    if let Some((chaos, _)) = &faults {
+        let s = report.faults;
+        eprintln!(
+            "faults (seed {}): {} crash(es), {} lost, {} timeout(s), {} retry(ies), \
+             {} in-master fallback(s)",
+            chaos.seed, s.crashes, s.lost, s.timeouts, s.retries, s.fallbacks
+        );
+    }
     if args.time {
         eprintln!("total {:?}", t0.elapsed());
     }
@@ -537,13 +485,8 @@ fn real_main() -> Result<(), String> {
     }
 
     if args.verify {
-        // Per-pass IR checks and per-function image checks already ran
-        // inside the compile; re-check the final linked module too.
-        let errs = warp_analyze::verify_module_image(&result.module_image, &opts.cell);
-        if !errs.is_empty() {
-            let msgs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
-            return Err(msgs.join("\n"));
-        }
+        // Per-pass IR checks, per-function image checks and the check
+        // of the linked module all ran inside the build.
         let functions: usize = result
             .module_image
             .section_images

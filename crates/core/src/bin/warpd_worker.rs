@@ -5,7 +5,7 @@
 //! `(section, function)` jobs it is sent, and exits when told to.
 
 fn usage() -> ! {
-    eprintln!("usage: warpd-worker --connect <unix:PATH|tcp:ADDR> --worker <N>");
+    eprintln!("usage: warpd-worker --connect <unix:PATH> --worker <N>");
     std::process::exit(64);
 }
 

@@ -3,22 +3,27 @@
 //! [`compile_module_source`] is the *sequential compiler* of the paper
 //! — the baseline "commonly in use" that every speedup is measured
 //! against. [`compile_function`] is the unit of work a *function
-//! master* performs (phases 2 and 3 for one function); the parallel
-//! executors in [`crate::threads`] and [`crate::simspec`] reuse it so
-//! that the parallel compiler provably performs the same work.
+//! master* performs (phases 2 and 3 for one function); every executor
+//! of the build pipeline ([`crate::build`]) and the simulator
+//! ([`crate::simspec`]) reuse it so that the parallel compiler provably
+//! performs the same work. This module holds the phases themselves —
+//! phase 1 ([`run_phase1`], [`run_phase1_parallel_traced`],
+//! [`prepare_module`]), the per-function compile, phase 4 ([`link_module`],
+//! [`link_module_parallel_traced`]) — and the types they produce; the
+//! pipeline that sequences them is written once, in
+//! [`Build::run`](crate::build::Build::run).
 
-use crate::fncache::{function_key, options_fingerprint, CachedFunction, FnCache};
+use crate::build::Build;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use warp_analyze::{MachineError, ScheduleError};
-use warp_cache::{CacheKey, InFlight};
 use warp_codegen::link::{
     assemble_module, finish_section, link_section, plan_section, resolve_function, LinkWork,
 };
 use warp_codegen::phase3::{phase3_traced, Phase3Work};
 use warp_ir::phase2::{phase2_traced, Phase2Error, Phase2Work};
 use warp_ir::FactSet;
-use warp_lang::{CheckedModule, ParseWork, Phase1Error};
+use warp_lang::{CheckedModule, Phase1Error};
 use warp_obs::{Trace, TrackId};
 use warp_target::program::{FunctionImage, ModuleImage};
 use warp_target::CellConfig;
@@ -234,9 +239,25 @@ impl CompileResult {
     }
 }
 
-/// Converts phase-1 parse counters to abstract work units.
-fn parse_units_of(work: &ParseWork) -> u64 {
-    work.tokens as u64 * 2 + work.statements as u64 * 3 + work.source_bytes as u64 / 8
+/// Closes phase 1: fails with every diagnostic rendered against the
+/// source, or converts the parse counters (tokens, statements, bytes)
+/// to abstract work units.
+fn finish_phase1(
+    source: &str,
+    tokens: usize,
+    checked: CheckedModule,
+    diagnostics: warp_lang::diag::DiagnosticBag,
+) -> Result<(CheckedModule, u64, usize), CompileError> {
+    if diagnostics.has_errors() {
+        let rendered = diagnostics.render_all_with_source(source);
+        return Err(CompileError::Phase1(Phase1Error {
+            diagnostics,
+            rendered,
+        }));
+    }
+    let statements = warp_lang::statement_count(&checked.module);
+    let units = tokens as u64 * 2 + statements as u64 * 3 + source.len() as u64 / 8;
+    Ok((checked, units, diagnostics.warning_count()))
 }
 
 /// Runs phase 1 on a module source (the master's sequential step).
@@ -262,11 +283,13 @@ pub fn run_phase1_traced(
     trace: &Trace,
     track: TrackId,
 ) -> Result<(CheckedModule, u64, usize), CompileError> {
-    let parsed = {
+    let (parsed, tokens) = {
         let mut span = trace.span("driver", "parse", track);
-        let parsed = warp_lang::parser::parse(source);
+        let lexed = warp_lang::lexer::lex(source);
+        let tokens = lexed.tokens.len();
+        let parsed = warp_lang::parser::parse_lexed(lexed);
         span.arg("bytes", source.len() as f64);
-        parsed
+        (parsed, tokens)
     };
     let mut diagnostics = parsed.diagnostics;
     let (checked, sema_diags) = {
@@ -274,15 +297,7 @@ pub fn run_phase1_traced(
         warp_lang::sema::check(parsed.module)
     };
     diagnostics.merge_sorted(sema_diags);
-    if diagnostics.has_errors() {
-        let rendered = diagnostics.render_all_with_source(source);
-        return Err(CompileError::Phase1(Phase1Error {
-            diagnostics,
-            rendered,
-        }));
-    }
-    let units = parse_units_of(&ParseWork::measure(source));
-    Ok((checked, units, diagnostics.warning_count()))
+    finish_phase1(source, tokens, checked, diagnostics)
 }
 
 /// Phase 1 plus the optional inlining extension: the checked module the
@@ -296,48 +311,54 @@ pub fn prepare_module(
     source: &str,
     opts: &CompileOptions,
 ) -> Result<(CheckedModule, u64, usize), CompileError> {
-    prepare_module_traced(source, opts, &Trace::disabled(), TrackId(0))
+    prepare(source, opts, 1, &Trace::disabled(), TrackId(0))
 }
 
-/// [`prepare_module`] with span tracing: phase 1 is recorded via
-/// [`run_phase1_traced`] and the optional inlining extension becomes a
-/// `"driver"` span (`inline`) on `track` of `trace`.
+/// [`prepare_module`] for the pipeline: phase 1 runs sequentially
+/// ([`run_phase1_traced`]) when `jobs <= 1` and on the parallel
+/// pipeline of [`run_phase1_parallel_traced`] otherwise; the optional
+/// inlining extension (a `"driver"` span, `inline`) and its defensive
+/// re-check stay sequential either way — it is a whole-module
+/// transform.
 ///
 /// # Errors
 ///
 /// Returns the phase-1 diagnostics on failure.
-pub fn prepare_module_traced(
+pub(crate) fn prepare(
     source: &str,
     opts: &CompileOptions,
+    jobs: usize,
     trace: &Trace,
     track: TrackId,
 ) -> Result<(CheckedModule, u64, usize), CompileError> {
-    let (checked, mut units, warnings) = run_phase1_traced(source, trace, track)?;
-    match &opts.inline {
-        None => Ok((checked, units, warnings)),
-        Some(policy) => {
-            let mut span = trace.span("driver", "inline", track);
-            let (inlined, stats) = warp_ir::inline_module(&checked.module, policy);
-            span.arg("inlined_calls", stats.inlined_calls as f64);
-            // Charge the transform + re-check as additional setup work.
-            units += stats.inlined_calls as u64 * 200 + inlined.function_count() as u64 * 50;
-            let (rechecked, diags) = warp_lang::sema::check(inlined);
-            if diags.has_errors() {
-                // Cannot happen for a module that passed phase 1; keep a
-                // defensive error path rather than panicking.
-                let rendered = diags
-                    .iter()
-                    .map(|d| d.message.clone())
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                return Err(CompileError::Phase1(warp_lang::Phase1Error {
-                    diagnostics: diags,
-                    rendered,
-                }));
-            }
-            Ok((rechecked, units, warnings))
-        }
+    let (checked, mut units, warnings) = if jobs <= 1 {
+        run_phase1_traced(source, trace, track)?
+    } else {
+        run_phase1_parallel_traced(source, jobs, trace, track)?
+    };
+    let Some(policy) = &opts.inline else {
+        return Ok((checked, units, warnings));
+    };
+    let mut span = trace.span("driver", "inline", track);
+    let (inlined, stats) = warp_ir::inline_module(&checked.module, policy);
+    span.arg("inlined_calls", stats.inlined_calls as f64);
+    // Charge the transform + re-check as additional setup work.
+    units += stats.inlined_calls as u64 * 200 + inlined.function_count() as u64 * 50;
+    let (rechecked, diags) = warp_lang::sema::check(inlined);
+    if diags.has_errors() {
+        // Cannot happen for a module that passed phase 1; keep a
+        // defensive error path rather than panicking.
+        let rendered = diags
+            .iter()
+            .map(|d| d.message.clone())
+            .collect::<Vec<_>>()
+            .join("; ");
+        return Err(CompileError::Phase1(warp_lang::Phase1Error {
+            diagnostics: diags,
+            rendered,
+        }));
     }
+    Ok((rechecked, units, warnings))
 }
 
 /// [`run_phase1_traced`] with the lexer, parser, and checker fanned out
@@ -365,7 +386,7 @@ pub fn run_phase1_parallel_traced(
 ) -> Result<(CheckedModule, u64, usize), CompileError> {
     let workers = workers.max(1);
     let worker_tracks = crate::exec::worker_tracks(trace, workers);
-    let (parsed, token_count) = {
+    let (parsed, tokens) = {
         let mut span = trace.span("driver", "parse", track);
         let bounds = warp_lang::lexer::chunk_boundaries(source, workers);
         let chunks: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
@@ -377,7 +398,7 @@ pub fn run_phase1_parallel_traced(
             |_, _, (start, end)| warp_lang::lexer::lex_chunk(source, start, end),
         );
         let lexed = warp_lang::lexer::merge_lexed_chunks(source.len(), parts);
-        let token_count = lexed.tokens.len();
+        let tokens = lexed.tokens.len();
         let eof_span = lexed.tokens.last().expect("EOF-terminated").span;
         let pieces = warp_lang::parser::split_tokens(lexed.tokens);
         let header = warp_lang::parser::parse_header_piece(pieces.header);
@@ -391,7 +412,7 @@ pub fn run_phase1_parallel_traced(
         let parsed =
             warp_lang::parser::assemble_pieces(lexed.diagnostics, header, piece_results, eof_span);
         span.arg("bytes", source.len() as f64);
-        (parsed, token_count)
+        (parsed, tokens)
     };
     let mut diagnostics = parsed.diagnostics;
     let (checked, sema_diags) = {
@@ -414,58 +435,7 @@ pub fn run_phase1_parallel_traced(
         // are exactly the sequential compiler's.
         return run_phase1_traced(source, trace, track);
     }
-    // Same numbers `ParseWork::measure` would produce, without the
-    // re-lex/re-parse it performs.
-    let work = ParseWork {
-        tokens: token_count,
-        statements: warp_lang::statement_count(&checked.module),
-        source_bytes: source.len(),
-    };
-    let units = parse_units_of(&work);
-    Ok((checked, units, diagnostics.warning_count()))
-}
-
-/// [`prepare_module_traced`] with phase 1 running on the parallel
-/// pipeline of [`run_phase1_parallel_traced`]. The optional inlining
-/// extension (and its defensive re-check) stays sequential — it is a
-/// whole-module transform.
-///
-/// # Errors
-///
-/// Returns the phase-1 diagnostics on failure.
-pub fn prepare_module_parallel_traced(
-    source: &str,
-    opts: &CompileOptions,
-    workers: usize,
-    trace: &Trace,
-    track: TrackId,
-) -> Result<(CheckedModule, u64, usize), CompileError> {
-    let (checked, mut units, warnings) = run_phase1_parallel_traced(source, workers, trace, track)?;
-    match &opts.inline {
-        None => Ok((checked, units, warnings)),
-        Some(policy) => {
-            let mut span = trace.span("driver", "inline", track);
-            let (inlined, stats) = warp_ir::inline_module(&checked.module, policy);
-            span.arg("inlined_calls", stats.inlined_calls as f64);
-            // Charge the transform + re-check as additional setup work.
-            units += stats.inlined_calls as u64 * 200 + inlined.function_count() as u64 * 50;
-            let (rechecked, diags) = warp_lang::sema::check(inlined);
-            if diags.has_errors() {
-                // Cannot happen for a module that passed phase 1; keep a
-                // defensive error path rather than panicking.
-                let rendered = diags
-                    .iter()
-                    .map(|d| d.message.clone())
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                return Err(CompileError::Phase1(warp_lang::Phase1Error {
-                    diagnostics: diags,
-                    rendered,
-                }));
-            }
-            Ok((rechecked, units, warnings))
-        }
-    }
+    finish_phase1(source, tokens, checked, diagnostics)
 }
 
 /// Compiles one function (phases 2 + 3): the function master's job.
@@ -553,272 +523,6 @@ pub fn compile_function_traced(
         facts: p2.facts,
     };
     Ok((p3.image, record))
-}
-
-/// [`compile_function_traced`] with an incremental cache in front: the
-/// function's content address is probed first, and only a miss pays
-/// for phases 2 + 3 (the result is then stored for the next build).
-/// The probe is recorded as a `"cache"` span named `hit NAME` or
-/// `miss NAME` on `track`, so traces show exactly which functions were
-/// served from the cache.
-///
-/// `options_fp` is the per-build [`options_fingerprint`]; computing it
-/// once and passing it down keeps the per-function key cost to one
-/// hash over the function's own inputs.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] if a cache miss fails to compile.
-#[allow(clippy::too_many_arguments)]
-pub fn compile_function_cached_traced(
-    checked: &CheckedModule,
-    source: &str,
-    si: usize,
-    fi: usize,
-    opts: &CompileOptions,
-    cache: &FnCache,
-    options_fp: u64,
-    trace: &Trace,
-    track: TrackId,
-) -> Result<(FunctionImage, FunctionRecord), CompileError> {
-    let key = function_key(checked, source, si, fi, options_fp);
-    compile_function_keyed_traced(checked, source, si, fi, opts, cache, key, trace, track)
-}
-
-/// [`compile_function_cached_traced`] for a caller that already holds
-/// the function's [`CacheKey`] — the dedup path computes the key first
-/// (to lease it) and must not pay for hashing the function twice.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] if a cache miss fails to compile.
-#[allow(clippy::too_many_arguments)]
-pub fn compile_function_keyed_traced(
-    checked: &CheckedModule,
-    source: &str,
-    si: usize,
-    fi: usize,
-    opts: &CompileOptions,
-    cache: &FnCache,
-    key: CacheKey,
-    trace: &Trace,
-    track: TrackId,
-) -> Result<(FunctionImage, FunctionRecord), CompileError> {
-    let probe_start = trace.now_ns();
-    if let Some(cached) = cache.lookup(key) {
-        if trace.is_enabled() {
-            let name = &checked.module.sections[si].functions[fi].name;
-            trace.record_span(
-                "cache",
-                format!("hit {name}"),
-                track,
-                probe_start,
-                trace.now_ns().saturating_sub(probe_start),
-                vec![("object_bytes", cached.record.object_bytes as f64)],
-            );
-        }
-        return Ok((cached.image, cached.record));
-    }
-    if trace.is_enabled() {
-        let name = &checked.module.sections[si].functions[fi].name;
-        trace.record_span(
-            "cache",
-            format!("miss {name}"),
-            track,
-            probe_start,
-            trace.now_ns().saturating_sub(probe_start),
-            Vec::new(),
-        );
-    }
-    let (image, record) = compile_function_traced(checked, source, si, fi, opts, trace, track)?;
-    cache.store(
-        key,
-        CachedFunction {
-            image: image.clone(),
-            record: record.clone(),
-        },
-    );
-    Ok((image, record))
-}
-
-/// [`compile_function_cached_traced`] with in-flight deduplication: the
-/// function's key is leased in `inflight` *before* the cache is probed,
-/// so of N concurrent builders of the same key exactly one compiles (and
-/// records the single miss) while the rest block on the lease and then
-/// hit. This is the per-function compile path of the `warpd` service,
-/// where many tenants race on one shared cache.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] if a cache miss fails to compile.
-#[allow(clippy::too_many_arguments)]
-pub fn compile_function_deduped_traced(
-    checked: &CheckedModule,
-    source: &str,
-    si: usize,
-    fi: usize,
-    opts: &CompileOptions,
-    cache: &FnCache,
-    inflight: &InFlight,
-    options_fp: u64,
-    trace: &Trace,
-    track: TrackId,
-) -> Result<(FunctionImage, FunctionRecord), CompileError> {
-    let key = function_key(checked, source, si, fi, options_fp);
-    let _lease = inflight.lease(key);
-    compile_function_keyed_traced(checked, source, si, fi, opts, cache, key, trace, track)
-}
-
-/// Compiles a whole module against a *shared* cache with in-flight
-/// deduplication — the request path of the `warpd` daemon. Unlike
-/// [`compile_module_cached_traced`] this entry point is meant to be
-/// called concurrently from many threads over the same `cache` and
-/// `inflight`: each call compiles its functions sequentially (requests
-/// are the unit of parallelism in the service), every function probe is
-/// dedup-guarded, and **all** spans — driver, worker, cache — land on
-/// the single `track` so a request's latency decomposes on its own
-/// trace row.
-///
-/// # Errors
-///
-/// Returns the first error of any phase.
-pub fn compile_module_shared_traced(
-    source: &str,
-    opts: &CompileOptions,
-    cache: &FnCache,
-    inflight: &InFlight,
-    trace: &Trace,
-    track: TrackId,
-) -> Result<CompileResult, CompileError> {
-    let (checked, phase1_units, warnings) = prepare_module_traced(source, opts, trace, track)?;
-    let options_fp = options_fingerprint(opts);
-    let mut images = Vec::new();
-    let mut records = Vec::new();
-    for si in 0..checked.module.sections.len() {
-        for fi in 0..checked.module.sections[si].functions.len() {
-            let span = trace.span(
-                "worker",
-                checked.module.sections[si].functions[fi].name.as_str(),
-                track,
-            );
-            let (img, rec) = compile_function_deduped_traced(
-                &checked, source, si, fi, opts, cache, inflight, options_fp, trace, track,
-            )?;
-            span.finish();
-            images.push(img);
-            records.push(rec);
-        }
-    }
-    let (module_image, link_units) = link_module_traced(&checked, images, opts, trace, track)?;
-    if opts.verify_each_pass {
-        let errs =
-            warp_analyze::verify_module_image_traced(&module_image, &opts.cell, trace, track);
-        if !errs.is_empty() {
-            return Err(CompileError::MachineVerify(errs));
-        }
-    }
-    Ok(CompileResult {
-        module_image,
-        records,
-        phase1_units,
-        link_units,
-        warnings,
-    })
-}
-
-/// [`compile_module_shared_traced`] with intra-request parallelism —
-/// the `jobs` field of a `warpd` compile request. Phase 1 (chunked
-/// lex/parse + sema merge), the per-function compiles, and the phase-4
-/// resolve all run on up to `jobs` stealing workers; every cache probe
-/// remains dedup-guarded by `inflight`, so concurrent tenants racing on
-/// one key still compile it exactly once. `jobs <= 1` is exactly
-/// [`compile_module_shared_traced`] (all spans on the request's own
-/// track); with more jobs the function compiles land on shared
-/// `worker N` tracks instead. The output is byte-identical either way.
-///
-/// # Errors
-///
-/// Returns the first error of any phase, in the sequential compiler's
-/// (section, function) order.
-#[allow(clippy::too_many_arguments)]
-pub fn compile_module_shared_jobs_traced(
-    source: &str,
-    opts: &CompileOptions,
-    jobs: usize,
-    cache: &FnCache,
-    inflight: &InFlight,
-    trace: &Trace,
-    track: TrackId,
-) -> Result<CompileResult, CompileError> {
-    if jobs <= 1 {
-        return compile_module_shared_traced(source, opts, cache, inflight, trace, track);
-    }
-    let (checked, phase1_units, warnings) =
-        prepare_module_parallel_traced(source, opts, jobs, trace, track)?;
-    let options_fp = options_fingerprint(opts);
-    let worker_tracks = crate::exec::worker_tracks(trace, jobs);
-    let fn_jobs: Vec<(usize, usize)> = checked
-        .module
-        .sections
-        .iter()
-        .enumerate()
-        .flat_map(|(si, s)| (0..s.functions.len()).map(move |fi| (si, fi)))
-        .collect();
-    let checked_ref = &checked;
-    let tracks_ref = &worker_tracks;
-    let outcomes = crate::exec::run_stealing(
-        jobs,
-        fn_jobs,
-        &worker_tracks,
-        trace,
-        move |w, _, (si, fi)| {
-            let wt = tracks_ref[w];
-            let span = trace.span(
-                "worker",
-                checked_ref.module.sections[si].functions[fi].name.as_str(),
-                wt,
-            );
-            let r = compile_function_deduped_traced(
-                checked_ref,
-                source,
-                si,
-                fi,
-                opts,
-                cache,
-                inflight,
-                options_fp,
-                trace,
-                wt,
-            );
-            span.finish();
-            r
-        },
-    );
-    let mut images = Vec::with_capacity(outcomes.len());
-    let mut records = Vec::with_capacity(outcomes.len());
-    // Results come back in (section, function) order, so `?` here
-    // surfaces the same first error the sequential loop would.
-    for outcome in outcomes {
-        let (img, rec) = outcome?;
-        images.push(img);
-        records.push(rec);
-    }
-    let (module_image, link_units) =
-        link_module_parallel_traced(&checked, images, opts, jobs, trace, track)?;
-    if opts.verify_each_pass {
-        let errs =
-            warp_analyze::verify_module_image_traced(&module_image, &opts.cell, trace, track);
-        if !errs.is_empty() {
-            return Err(CompileError::MachineVerify(errs));
-        }
-    }
-    Ok(CompileResult {
-        module_image,
-        records,
-        phase1_units,
-        link_units,
-        warnings,
-    })
 }
 
 /// Renders the per-function fact report of an `--absint` build — the
@@ -1056,7 +760,7 @@ pub fn compile_module_source(
     source: &str,
     opts: &CompileOptions,
 ) -> Result<CompileResult, CompileError> {
-    compile_module_traced(source, opts, &Trace::disabled())
+    Build::new(source, opts).run().map(|(result, _)| result)
 }
 
 /// [`compile_module_source`] with span tracing. Driver-level work
@@ -1075,99 +779,12 @@ pub fn compile_module_traced(
     opts: &CompileOptions,
     trace: &Trace,
 ) -> Result<CompileResult, CompileError> {
-    compile_module_inner(source, opts, None, trace)
-}
-
-/// The sequential compiler with an incremental cache in front of every
-/// function compilation: only functions whose content address misses
-/// `cache` are recompiled, everything else is fetched. The warm-build
-/// entry point of `warpcc --cache-dir` in single-threaded mode.
-///
-/// # Errors
-///
-/// Returns the first error of any phase.
-pub fn compile_module_cached(
-    source: &str,
-    opts: &CompileOptions,
-    cache: &FnCache,
-) -> Result<CompileResult, CompileError> {
-    compile_module_inner(source, opts, Some(cache), &Trace::disabled())
-}
-
-/// [`compile_module_cached`] with span tracing: cache probes appear as
-/// `"cache"` spans (`hit f` / `miss f`) next to the `"worker"` spans.
-///
-/// # Errors
-///
-/// Returns the first error of any phase.
-pub fn compile_module_cached_traced(
-    source: &str,
-    opts: &CompileOptions,
-    cache: &FnCache,
-    trace: &Trace,
-) -> Result<CompileResult, CompileError> {
-    compile_module_inner(source, opts, Some(cache), trace)
-}
-
-fn compile_module_inner(
-    source: &str,
-    opts: &CompileOptions,
-    cache: Option<&FnCache>,
-    trace: &Trace,
-) -> Result<CompileResult, CompileError> {
-    let driver_track = trace.track("driver");
-    let worker_track = trace.track("worker 0");
-    let (checked, phase1_units, warnings) =
-        prepare_module_traced(source, opts, trace, driver_track)?;
-    let options_fp = cache.map(|_| options_fingerprint(opts));
-    let mut images = Vec::new();
-    let mut records = Vec::new();
-    for si in 0..checked.module.sections.len() {
-        for fi in 0..checked.module.sections[si].functions.len() {
-            let span = trace.span(
-                "worker",
-                checked.module.sections[si].functions[fi].name.as_str(),
-                worker_track,
-            );
-            let (img, rec) = match (cache, options_fp) {
-                (Some(cache), Some(fp)) => compile_function_cached_traced(
-                    &checked,
-                    source,
-                    si,
-                    fi,
-                    opts,
-                    cache,
-                    fp,
-                    trace,
-                    worker_track,
-                )?,
-                _ => compile_function_traced(&checked, source, si, fi, opts, trace, worker_track)?,
-            };
-            span.finish();
-            images.push(img);
-            records.push(rec);
-        }
+    Build {
+        trace,
+        ..Build::new(source, opts)
     }
-    let (module_image, link_units) =
-        link_module_traced(&checked, images, opts, trace, driver_track)?;
-    if opts.verify_each_pass {
-        let errs = warp_analyze::verify_module_image_traced(
-            &module_image,
-            &opts.cell,
-            trace,
-            driver_track,
-        );
-        if !errs.is_empty() {
-            return Err(CompileError::MachineVerify(errs));
-        }
-    }
-    Ok(CompileResult {
-        module_image,
-        records,
-        phase1_units,
-        link_units,
-        warnings,
-    })
+    .run()
+    .map(|(result, _)| result)
 }
 
 #[cfg(test)]

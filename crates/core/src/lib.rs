@@ -6,8 +6,12 @@
 //! master per function, coordinated by a master and per-section section
 //! masters (§3.2).
 //!
-//! * [`driver`] — the real compiler (phases 1–4) and the per-function
-//!   work records;
+//! * [`build`] — the build pipeline: one [`Build`] request, run
+//!   through prepare → probe → execute → fallback → link → verify on
+//!   one of three executors (the caller's thread, threads, the farm)
+//!   under one recovery loop;
+//! * [`driver`] — the real compiler's phases (1–4) and the
+//!   per-function work records;
 //! * [`scheduler`] — FCFS distribution and cost-estimate grouping;
 //! * [`costmodel`] / [`simspec`] — replay real compilations through the
 //!   1989 host simulator;
@@ -18,7 +22,8 @@
 //! * [`parmake`] — the §3.4 parallel-make baseline and the combined
 //!   parallel-make × parallel-compiler mode;
 //! * [`threads`] — real parallel compilation with OS threads (the same
-//!   hierarchy, on today's hardware);
+//!   hierarchy, on today's hardware) and the fault vocabulary every
+//!   executor shares;
 //! * [`farm`] — the distributed version: a coordinator driving real
 //!   `warpd-worker` OS processes over sockets, content-addressed
 //!   object exchange through the shared cache, seeded real-process
@@ -29,6 +34,7 @@
 
 #![warn(missing_docs)]
 
+pub mod build;
 pub mod costmodel;
 pub mod driver;
 mod exec;
@@ -43,23 +49,18 @@ pub mod scheduler;
 pub mod simspec;
 pub mod threads;
 
+pub use build::{Build, BuildReport, FarmCensus};
 pub use costmodel::{CostModel, CALIBRATED};
 pub use driver::{
-    compile_function, compile_function_cached_traced, compile_function_deduped_traced,
-    compile_function_keyed_traced, compile_function_traced, compile_module_cached,
-    compile_module_cached_traced, compile_module_shared_jobs_traced, compile_module_shared_traced,
-    compile_module_source, compile_module_traced, facts_report, link_module,
-    link_module_parallel_traced, link_module_traced, prepare_module_parallel_traced, run_phase1,
+    compile_function, compile_function_traced, compile_module_source, compile_module_traced,
+    facts_report, link_module, link_module_parallel_traced, link_module_traced, run_phase1,
     run_phase1_parallel_traced, run_phase1_traced, CompileError, CompileOptions, CompileResult,
     FunctionRecord,
 };
 pub use experiment::{
     Comparison, ComparisonTraces, Experiment, FaultedFig6, FaultedPoint, InlineAblation, Placement,
 };
-pub use farm::{
-    compile_farm, compile_farm_traced, run_worker, FarmConfig, FarmFaultStats, FarmReport,
-    FARM_PROTOCOL_VERSION,
-};
+pub use farm::{compile_farm, run_worker, FarmConfig, FARM_PROTOCOL_VERSION};
 pub use fncache::{function_key, options_fingerprint, CachedFunction, FnCache};
 pub use katseff::{assembler_sweep, katseff_comparison, AssemblerSweep};
 pub use metrics::{overheads, speedup, Measurement, Overheads};
@@ -71,8 +72,6 @@ pub use scheduler::{
     Assignment,
 };
 pub use threads::{
-    compile_parallel, compile_parallel_cached, compile_parallel_cached_traced,
-    compile_parallel_chaos, compile_parallel_chaos_cached, compile_parallel_chaos_traced,
-    compile_parallel_traced, default_jobs, resolve_jobs, ChaosAction, ChaosPlan, FaultStats,
-    RetryPolicy, ThreadReport,
+    compile_parallel, compile_parallel_cached, default_jobs, resolve_jobs, ChaosAction, ChaosPlan,
+    FaultStats, RetryPolicy,
 };

@@ -114,7 +114,7 @@ pub fn par_spec(result: &CompileResult, cm: &CostModel, assignment: &Assignment)
 /// [`par_spec`] with a compilation cache enabled: `warm[i]` marks
 /// function `i` as a cache hit.
 ///
-/// This mirrors the real threaded driver (`crate::threads`): the
+/// This mirrors the real build pipeline ([`crate::build`]): the
 /// *master* probes every key itself (`cache_lookup_units` each) and
 /// services hits directly — a fetch of the stored object from the
 /// file server, no fork, no workstation, no section master involved.

@@ -1,96 +1,65 @@
 //! Real parallel compilation with OS threads on a work-stealing
-//! scheduler.
+//! scheduler, and the fault model shared by every executor.
 //!
 //! The same master / section-master / function-master structure as the
 //! simulated 1989 system, executed with actual parallelism on the host
 //! machine. Where the paper (and the first implementations here) left
-//! phases 1 and 4 sequential, this driver parallelizes all four:
+//! phases 1 and 4 sequential, a threaded build parallelizes all four:
 //! phase 1 runs as chunked parallel lexing plus per-section parsing
 //! and sema with a sequential merge, phases 2–3 run one function per
 //! stealing worker, and phase 4 resolves per-function addresses in
 //! parallel with a sequential per-section finish — all bit-identical
 //! to the sequential compiler.
 //!
-//! The compile stage itself is no longer round-based: workers own
-//! per-thread deques ([`crossbeam::deque`]) seeded round-robin in LPT
-//! order, pull continuously, and steal from siblings (then from the
-//! master's retry injector) when their own queue runs dry. A worker
-//! that finishes early immediately takes load off the laggards instead
-//! of idling at a round barrier — `sched` steal/idle instants and
-//! per-worker queue-depth counters make the behaviour visible in
-//! traces (`docs/PARALLELISM.md`, `docs/TRACING.md`).
+//! [`compile_parallel`] and [`compile_parallel_cached`] are
+//! constructors over [`crate::build::Build`], which runs the one
+//! pipeline on the work-stealing thread executor (`exec.rs`)
+//! when `jobs >= 2` (`docs/PARALLELISM.md`).
 //!
-//! Two Amdahl leaks of the first implementation remain fixed here:
-//!
-//! * **LPT dispatch** — jobs are seeded in decreasing a-priori cost
-//!   estimate (LoC × nesting, §4.3) rather than source order, so the
-//!   largest function starts compiling first and can never be the one
-//!   job left running after every other worker drained the queues;
-//! * **cache hits bypass the queue** — with an incremental cache
-//!   ([`crate::fncache`]), the master probes every function's content
-//!   address itself and only seeds the misses; a fully warm build
-//!   spawns no workers at all.
+//! Jobs are dispatched in decreasing a-priori cost estimate (LoC ×
+//! nesting, §4.3) rather than source order ([`lpt_dispatch_order`]),
+//! so the largest function starts compiling first and can never be the
+//! one job left running after every other worker drained the queues.
 //!
 //! # Fault tolerance
 //!
 //! The paper's build farm loses workers routinely — a diskless SUN
 //! reboots, swaps itself to death, or falls off the Ethernet mid-build
-//! — so the master here never trusts a dispatched job to come back:
-//!
-//! * worker panics are contained with `catch_unwind` and reported over
-//!   the result channel, never unwinding into the master;
-//! * the master collects results with a per-job timeout
-//!   ([`RetryPolicy::job_timeout`]); jobs whose results never arrive
-//!   (a lost message, a dead worker) are re-injected onto the running
-//!   pool, with bounded exponential backoff — no pool teardown, no
-//!   round barrier;
-//! * results that arrive *late* (a stalled worker) are still used —
-//!   after a timeout the master waits for the pool to go quiet and
-//!   drains every completed compilation before declaring anything
-//!   lost;
-//! * when a job's attempt budget is exhausted the master compiles the
-//!   leftovers itself, sequentially, in-process — the same "the
-//!   master's own workstation always works" fallback the simulator's
-//!   [`warp_netsim::FaultPlan`] models — so a build always terminates
-//!   with output **bit-identical** to the sequential compiler.
-//!
-//! Failures are injected deterministically through a [`ChaosPlan`]
-//! (seeded, per-job, per-attempt), which is how the chaos-matrix CI
-//! job and the tests below exercise every failure mode; production
-//! entry points pass no plan and pay only a timed `recv` for the
-//! machinery. Fault and recovery events are recorded as `fault` /
-//! `retry` spans in the [`warp_obs`] trace (see `docs/TRACING.md`),
-//! and the counts surface in [`ThreadReport::faults`]. The policy
-//! knobs and semantics are documented in `docs/FAULTS.md`.
+//! — so the master never trusts a dispatched job to come back. What it
+//! does about it is the pipeline's recovery loop
+//! ([`crate::build`], `DESIGN.md` "The build pipeline"); this module
+//! holds the vocabulary: the detection/recovery knobs
+//! ([`RetryPolicy`]), the seeded, per-job, per-attempt injection plan
+//! ([`ChaosPlan`]) that the chaos-matrix CI job and the tests use to
+//! exercise every failure mode, and the counters a build reports
+//! ([`FaultStats`]). Production builds pass no plan and pay only a
+//! timed receive per result for the machinery. The policy knobs and
+//! semantics are documented in `docs/FAULTS.md`.
 
-use crate::driver::{
-    compile_function_traced, link_module_parallel_traced, prepare_module_parallel_traced,
-    CompileError, CompileOptions, CompileResult, FunctionRecord,
-};
-use crate::fncache::{function_key, options_fingerprint, CachedFunction, FnCache};
-use crossbeam::channel::bounded;
-use crossbeam::deque::{Injector, Stealer, Worker as JobDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
-use warp_cache::CacheKey;
-use warp_obs::Trace;
-use warp_target::program::FunctionImage;
+use crate::build::{Build, BuildReport};
+use crate::driver::{CompileError, CompileOptions, CompileResult};
+use crate::fncache::FnCache;
+use std::time::Duration;
 
-/// Fault and recovery counters for one threaded compilation (all
+/// Fault and recovery counters for one build, whatever ran it (all
 /// zeros on a healthy run).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Worker panics contained by `catch_unwind`.
-    pub panics: usize,
-    /// Jobs whose result never arrived (lost message / dead worker).
+    /// Attempts whose worker died under them: a thread panic contained
+    /// by `catch_unwind`, or a farm worker process that was killed,
+    /// exited or hung up while holding the attempt.
+    pub crashes: usize,
+    /// Attempts whose result never arrived (lost message, wedged
+    /// worker) — declared only after the executor went quiet.
     pub lost: usize,
-    /// Per-job timeouts that fired while collecting a round.
+    /// Times the master waited a whole [`RetryPolicy::job_timeout`]
+    /// without hearing anything.
     pub timeouts: usize,
-    /// Jobs re-dispatched in a retry round.
+    /// Attempts re-dispatched after a crash or a loss.
     pub retries: usize,
-    /// Jobs the master compiled itself after the retry budget ran out.
-    pub sequential_fallbacks: usize,
+    /// Jobs the master compiled itself after the attempt budget ran
+    /// out or every worker died.
+    pub fallbacks: usize,
 }
 
 impl FaultStats {
@@ -98,25 +67,6 @@ impl FaultStats {
     pub fn is_quiet(&self) -> bool {
         *self == FaultStats::default()
     }
-}
-
-/// Timing breakdown of a threaded parallel compilation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThreadReport {
-    /// Total wall time.
-    pub wall: Duration,
-    /// Sequential phase-1 wall time.
-    pub phase1_wall: Duration,
-    /// Wall time of the parallel compilation phase.
-    pub compile_wall: Duration,
-    /// Sequential link wall time.
-    pub link_wall: Duration,
-    /// Per-function wall time, in source order.
-    pub per_function: Vec<(String, Duration)>,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Faults observed and recoveries performed.
-    pub faults: FaultStats,
 }
 
 /// How the master detects and recovers from lost work.
@@ -157,22 +107,25 @@ impl RetryPolicy {
     }
 }
 
-/// What the chaos plan does to one job attempt.
+/// What the chaos plan does to one job attempt. The pipeline decides
+/// it; each executor applies it its own way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosAction {
     /// Nothing — the job runs normally.
     None,
-    /// The worker panics mid-job (contained by `catch_unwind`).
+    /// The worker dies mid-job: a thread panics (contained by
+    /// `catch_unwind`), a farm worker process is SIGKILLed.
     Panic,
-    /// The worker compiles the job but the result message is lost.
+    /// The result never comes back: a thread compiles the job and
+    /// drops the message, a farm worker exits without replying.
     Lose,
     /// The worker stalls for [`ChaosPlan::stall_for`] before
     /// compiling, so its result arrives after the master's timeout.
     Stall,
 }
 
-/// A seeded, deterministic fault-injection plan for the *real*
-/// threaded driver — the `parcc` counterpart of the simulator's
+/// A seeded, deterministic fault-injection plan for *real* builds
+/// (threads or farm) — the `parcc` counterpart of the simulator's
 /// [`warp_netsim::FaultPlan`]. Each `(job, attempt)` pair is struck
 /// (or spared) by a pure function of the seed, so a chaos run is
 /// exactly reproducible from its seed alone.
@@ -320,36 +273,12 @@ pub fn compile_parallel(
     source: &str,
     opts: &CompileOptions,
     workers: usize,
-) -> Result<(CompileResult, ThreadReport), CompileError> {
-    compile_parallel_traced(source, opts, workers, &Trace::disabled())
-}
-
-/// [`compile_parallel`] with span tracing on the real monotonic clock:
-/// the sequential `parse`/`sema`/`link` steps and the parallel
-/// `compile` window land on a `driver` track, and every function
-/// compiled by worker *w* becomes a `"worker"` span on a `worker w`
-/// track with the per-pass spans nested inside it. With a disabled
-/// trace this is exactly [`compile_parallel`].
-///
-/// # Errors
-///
-/// Propagates the first compilation error (the whole compilation is
-/// aborted, as the paper's master does).
-pub fn compile_parallel_traced(
-    source: &str,
-    opts: &CompileOptions,
-    workers: usize,
-    trace: &Trace,
-) -> Result<(CompileResult, ThreadReport), CompileError> {
-    compile_parallel_inner(
-        source,
-        opts,
-        workers,
-        None,
-        None,
-        &RetryPolicy::default(),
-        trace,
-    )
+) -> Result<(CompileResult, BuildReport), CompileError> {
+    Build {
+        jobs: workers,
+        ..Build::new(source, opts)
+    }
+    .run()
 }
 
 /// [`compile_parallel`] with an incremental compilation cache: the
@@ -367,115 +296,13 @@ pub fn compile_parallel_cached(
     opts: &CompileOptions,
     workers: usize,
     cache: &FnCache,
-) -> Result<(CompileResult, ThreadReport), CompileError> {
-    compile_parallel_inner(
-        source,
-        opts,
-        workers,
-        Some(cache),
-        None,
-        &RetryPolicy::default(),
-        &Trace::disabled(),
-    )
-}
-
-/// [`compile_parallel_cached`] with span tracing: cache probes become
-/// `"cache"` spans (`hit f` on the driver track for bypassed jobs,
-/// `miss f` next to the worker span that recompiles).
-///
-/// # Errors
-///
-/// Propagates the first compilation error.
-pub fn compile_parallel_cached_traced(
-    source: &str,
-    opts: &CompileOptions,
-    workers: usize,
-    cache: &FnCache,
-    trace: &Trace,
-) -> Result<(CompileResult, ThreadReport), CompileError> {
-    compile_parallel_inner(
-        source,
-        opts,
-        workers,
-        Some(cache),
-        None,
-        &RetryPolicy::default(),
-        trace,
-    )
-}
-
-/// [`compile_parallel`] under injected faults: each job attempt is
-/// struck per `chaos`, detection and recovery follow `policy`. Output
-/// is bit-identical to the sequential compiler no matter what the plan
-/// injects — chaos only moves work around, it never changes results.
-///
-/// # Errors
-///
-/// Propagates the first *compilation* error; injected faults are
-/// recovered, not propagated.
-pub fn compile_parallel_chaos(
-    source: &str,
-    opts: &CompileOptions,
-    workers: usize,
-    chaos: &ChaosPlan,
-    policy: &RetryPolicy,
-) -> Result<(CompileResult, ThreadReport), CompileError> {
-    compile_parallel_inner(
-        source,
-        opts,
-        workers,
-        None,
-        Some(chaos),
-        policy,
-        &Trace::disabled(),
-    )
-}
-
-/// [`compile_parallel_chaos`] with span tracing: injected faults and
-/// every recovery step (`timeout`, `retry`, `fallback`) appear under
-/// the `fault` and `retry` categories.
-///
-/// # Errors
-///
-/// Propagates the first *compilation* error; injected faults are
-/// recovered, not propagated.
-pub fn compile_parallel_chaos_traced(
-    source: &str,
-    opts: &CompileOptions,
-    workers: usize,
-    chaos: &ChaosPlan,
-    policy: &RetryPolicy,
-    trace: &Trace,
-) -> Result<(CompileResult, ThreadReport), CompileError> {
-    compile_parallel_inner(source, opts, workers, None, Some(chaos), policy, trace)
-}
-
-/// [`compile_parallel_chaos`] with an incremental cache: faults strike
-/// the compiles that actually run, cache hits bypass the executor
-/// entirely. The combination is what a warm production daemon under
-/// churn looks like, and the output must still be bit-identical.
-///
-/// # Errors
-///
-/// Propagates the first *compilation* error; injected faults are
-/// recovered, not propagated.
-pub fn compile_parallel_chaos_cached(
-    source: &str,
-    opts: &CompileOptions,
-    workers: usize,
-    cache: &FnCache,
-    chaos: &ChaosPlan,
-    policy: &RetryPolicy,
-) -> Result<(CompileResult, ThreadReport), CompileError> {
-    compile_parallel_inner(
-        source,
-        opts,
-        workers,
-        Some(cache),
-        Some(chaos),
-        policy,
-        &Trace::disabled(),
-    )
+) -> Result<(CompileResult, BuildReport), CompileError> {
+    Build {
+        jobs: workers,
+        cache: Some(cache),
+        ..Build::new(source, opts)
+    }
+    .run()
 }
 
 /// LPT (longest-processing-time-first) dispatch order over a-priori
@@ -491,587 +318,11 @@ pub fn lpt_dispatch_order(estimates: impl IntoIterator<Item = u64>) -> Vec<usize
     order
 }
 
-/// A dispatched unit of work: job index, `(section, function)`, and
-/// the cache key to store the result under (for cached builds).
-type Job = (usize, (usize, usize), Option<CacheKey>);
-
-/// Why a worker could not produce a job's image.
-enum JobFailure {
-    /// A deterministic compiler error — retrying cannot help; the
-    /// master aborts the build with it.
-    Error(CompileError),
-    /// The worker panicked (contained); the job is retried.
-    Panicked(String),
-}
-
-type Done = (
-    usize,
-    Result<(FunctionImage, FunctionRecord, Duration), JobFailure>,
-);
-
-/// Extracts a readable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
-}
-
-/// Coordination state shared by the master and the stealing workers.
-struct PoolState {
-    /// Jobs seeded or injected whose *execution* has not finished yet
-    /// (delivery is separate — a lost result still finishes
-    /// executing). When this hits zero the pool is quiescent: any
-    /// result that has not arrived by then never will.
-    unfinished: usize,
-    /// Set once by the master; workers exit after draining all work.
-    shutdown: bool,
-}
-
-/// The work-stealing compile pool: a shared retry injector plus
-/// condition variables for worker sleep ([`Pool::wait_for_work`]) and
-/// master quiescence waits ([`Pool::wait_quiet`]). The per-worker
-/// deques live on the worker threads themselves; only their stealers
-/// are shared.
-struct Pool {
-    injector: Injector<(Job, usize)>,
-    state: Mutex<PoolState>,
-    /// Signalled on injection and shutdown.
-    work_ready: Condvar,
-    /// Signalled when `unfinished` reaches zero.
-    quiet: Condvar,
-}
-
-impl Pool {
-    fn new(seeded: usize) -> Pool {
-        Pool {
-            injector: Injector::new(),
-            state: Mutex::new(PoolState {
-                unfinished: seeded,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            quiet: Condvar::new(),
-        }
-    }
-
-    /// Injects a retry attempt and wakes sleeping workers. Holding the
-    /// state lock across the push keeps the injector check in
-    /// [`Pool::wait_for_work`] race-free.
-    fn submit(&self, job: Job, attempt: usize) {
-        let mut st = self.state.lock().expect("pool lock");
-        st.unfinished += 1;
-        self.injector.push((job, attempt));
-        self.work_ready.notify_all();
-    }
-
-    /// A worker finished executing one job (whether or not the result
-    /// was delivered). Must be called *after* the result send, so that
-    /// quiescence implies every delivered result is already buffered.
-    fn finish_one(&self) {
-        let mut st = self.state.lock().expect("pool lock");
-        st.unfinished -= 1;
-        if st.unfinished == 0 {
-            self.quiet.notify_all();
-        }
-    }
-
-    /// Blocks until every seeded and injected job has finished
-    /// executing — the point after which a missing result is a *lost*
-    /// result, not a slow one.
-    fn wait_quiet(&self) {
-        let mut st = self.state.lock().expect("pool lock");
-        while st.unfinished > 0 {
-            st = self.quiet.wait(st).expect("pool lock");
-        }
-    }
-
-    /// Parks an idle worker until the injector has work or the pool
-    /// shuts down. Returns `false` on shutdown. (Sibling deques never
-    /// grow after seeding, so a failed steal sweep before this call
-    /// cannot miss local work — only the injector can produce more.)
-    fn wait_for_work(&self) -> bool {
-        let mut st = self.state.lock().expect("pool lock");
-        loop {
-            if st.shutdown {
-                return false;
-            }
-            if !self.injector.is_empty() {
-                return true;
-            }
-            st = self.work_ready.wait(st).expect("pool lock");
-        }
-    }
-
-    /// Tells the workers no further work will ever be injected.
-    fn shutdown(&self) {
-        let mut st = self.state.lock().expect("pool lock");
-        st.shutdown = true;
-        self.work_ready.notify_all();
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn compile_parallel_inner(
-    source: &str,
-    opts: &CompileOptions,
-    workers: usize,
-    cache: Option<&FnCache>,
-    chaos: Option<&ChaosPlan>,
-    policy: &RetryPolicy,
-    trace: &Trace,
-) -> Result<(CompileResult, ThreadReport), CompileError> {
-    let workers = workers.max(1);
-    let driver_track = trace.track("driver");
-    let t0 = Instant::now();
-    let (checked, phase1_units, warnings) =
-        prepare_module_parallel_traced(source, opts, workers, trace, driver_track)?;
-    let phase1_wall = t0.elapsed();
-
-    // The work list: every (section, function) pair, tagged with the
-    // a-priori cost estimate the load balancer would use (§4.3 —
-    // available *before* compilation, from the AST alone).
-    let jobs: Vec<(usize, usize, u64)> = checked
-        .module
-        .sections
-        .iter()
-        .enumerate()
-        .flat_map(|(si, s)| {
-            s.functions
-                .iter()
-                .enumerate()
-                .map(move |(fi, f)| (si, fi, warp_workload::cost_estimate_of(f, source)))
-        })
-        .collect();
-
-    let dispatch = lpt_dispatch_order(jobs.iter().map(|&(_, _, est)| est));
-
-    let tc = Instant::now();
-    let mut images: Vec<Option<FunctionImage>> = vec![None; jobs.len()];
-    let mut records: Vec<Option<FunctionRecord>> = vec![None; jobs.len()];
-    // `None` until the function's result arrives — never pre-filled
-    // with placeholder durations, so a missing result is a bug we
-    // catch, not an empty row in the report.
-    let mut timings: Vec<Option<Duration>> = vec![None; jobs.len()];
-    let mut stats = FaultStats::default();
-
-    // The master probes the cache itself: hits bypass worker queueing
-    // entirely, only misses are dispatched.
-    let options_fp = cache.map(|_| options_fingerprint(opts));
-    let mut queued: Vec<Job> = Vec::with_capacity(jobs.len());
-    for &idx in &dispatch {
-        let (si, fi, _) = jobs[idx];
-        let Some(cache) = cache else {
-            queued.push((idx, (si, fi), None));
-            continue;
-        };
-        let probe_start = trace.now_ns();
-        let t = Instant::now();
-        let key = function_key(&checked, source, si, fi, options_fp.unwrap_or_default());
-        match cache.lookup(key) {
-            Some(cached) => {
-                if trace.is_enabled() {
-                    let name = &checked.module.sections[si].functions[fi].name;
-                    trace.record_span(
-                        "cache",
-                        format!("hit {name}"),
-                        driver_track,
-                        probe_start,
-                        trace.now_ns().saturating_sub(probe_start),
-                        vec![("object_bytes", cached.record.object_bytes as f64)],
-                    );
-                }
-                timings[idx] = Some(t.elapsed());
-                images[idx] = Some(cached.image);
-                records[idx] = Some(cached.record);
-            }
-            None => queued.push((idx, (si, fi), Some(key))),
-        }
-    }
-
-    let compile_span = trace.span("driver", "compile", driver_track);
-    let mut first_err: Option<CompileError> = None;
-    let total = queued.len();
-    // The work-stealing pool: spawned once, fed the LPT-ordered misses
-    // through per-worker deques, kept running across retries. A
-    // healthy run seeds, drains, and shuts down without ever sleeping.
-    if total > 0 && policy.max_attempts > 0 {
-        let pool_size = workers.min(total);
-        // Result capacity covers every possible attempt of every job,
-        // so a send can never block: workers never wedge on a
-        // straggler and the final join cannot deadlock.
-        let (done_tx, done_rx) = bounded::<Done>(total * policy.max_attempts);
-        let pool = Pool::new(total);
-        // Seed the per-worker deques round-robin in LPT order: the
-        // pool_size most expensive jobs start first, one per worker,
-        // and whoever finishes early steals from the laggards.
-        let locals: Vec<JobDeque<(Job, usize)>> =
-            (0..pool_size).map(|_| JobDeque::new_fifo()).collect();
-        let stealers: Vec<Stealer<(Job, usize)>> = locals.iter().map(JobDeque::stealer).collect();
-        for (i, &job) in queued.iter().enumerate() {
-            locals[i % pool_size].push((job, 0));
-        }
-        let worker_tracks = crate::exec::worker_tracks(trace, pool_size);
-        if trace.is_enabled() {
-            let ts = trace.now_ns();
-            for (w, local) in locals.iter().enumerate() {
-                trace.counter(
-                    format!("queue {w}"),
-                    worker_tracks[w],
-                    ts,
-                    local.len() as f64,
-                );
-            }
-        }
-
-        // Per-job dispatch bookkeeping, indexed like `jobs`.
-        // `attempts_used[idx]` counts dispatches so far, so the next
-        // attempt number equals it — the same 0,1,2… sequence the
-        // round-based scheduler produced, which keeps every
-        // [`ChaosPlan::decide`] draw (and thus every seeded chaos run)
-        // bit-identical across the migration.
-        let mut job_by_idx: Vec<Option<Job>> = vec![None; jobs.len()];
-        let mut attempts_used: Vec<usize> = vec![0; jobs.len()];
-        let mut in_flight: Vec<bool> = vec![false; jobs.len()];
-        for &job in &queued {
-            job_by_idx[job.0] = Some(job);
-            attempts_used[job.0] = 1;
-            in_flight[job.0] = true;
-        }
-        let mut outstanding = total;
-
-        std::thread::scope(|scope| {
-            // Section masters are folded into a stealing worker pool:
-            // each worker plays function master for successive
-            // functions, pulling continuously — local deque first,
-            // then the master's retry injector, then the siblings.
-            for (w, local) in locals.into_iter().enumerate() {
-                let done_tx = done_tx.clone();
-                let stealers = &stealers;
-                let pool = &pool;
-                let checked = &checked;
-                let opts = &*opts;
-                let track = worker_tracks[w];
-                scope.spawn(move || {
-                    let mut was_idle = false;
-                    loop {
-                        let mut task = local.pop();
-                        if task.is_none() {
-                            task = pool.injector.steal().success();
-                            if task.is_some() && trace.is_enabled() {
-                                trace.instant_now("sched", "steal from injector", track);
-                            }
-                        }
-                        if task.is_none() {
-                            for off in 1..stealers.len() {
-                                let victim = (w + off) % stealers.len();
-                                if let Some(t) = stealers[victim].steal().success() {
-                                    if trace.is_enabled() {
-                                        trace.instant_now(
-                                            "sched",
-                                            format!("steal from worker {victim}"),
-                                            track,
-                                        );
-                                    }
-                                    task = Some(t);
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(((idx, (si, fi), key), attempt)) = task else {
-                            if !was_idle {
-                                was_idle = true;
-                                trace.instant_now("sched", "idle", track);
-                            }
-                            if pool.wait_for_work() {
-                                continue;
-                            }
-                            break;
-                        };
-                        was_idle = false;
-                        if trace.is_enabled() {
-                            trace.counter(
-                                format!("queue {w}"),
-                                track,
-                                trace.now_ns(),
-                                local.len() as f64,
-                            );
-                        }
-                        let action = chaos.map_or(ChaosAction::None, |c| c.decide(idx, attempt));
-                        if action == ChaosAction::Stall {
-                            // A wedged worker: the result will arrive
-                            // long after the master's timeout.
-                            std::thread::sleep(chaos.map_or(Duration::ZERO, |c| c.stall_for));
-                        }
-                        // Borrow the name for the span — no per-job
-                        // clone in the hot loop.
-                        let span = trace.span(
-                            "worker",
-                            checked.module.sections[si].functions[fi].name.as_str(),
-                            track,
-                        );
-                        let t = Instant::now();
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            if action == ChaosAction::Panic {
-                                panic!("injected worker panic (job {idx}, attempt {attempt})");
-                            }
-                            compile_function_traced(checked, source, si, fi, opts, trace, track)
-                        }));
-                        span.finish();
-                        let out: Done = match caught {
-                            Ok(Ok((img, rec))) => {
-                                if let (Some(cache), Some(key)) = (cache, key) {
-                                    cache.store(
-                                        key,
-                                        CachedFunction {
-                                            image: img.clone(),
-                                            record: rec.clone(),
-                                        },
-                                    );
-                                }
-                                (idx, Ok((img, rec, t.elapsed())))
-                            }
-                            Ok(Err(e)) => (idx, Err(JobFailure::Error(e))),
-                            Err(payload) => {
-                                (idx, Err(JobFailure::Panicked(panic_message(payload))))
-                            }
-                        };
-                        if action != ChaosAction::Lose {
-                            // Deliver before `finish_one`: quiescence
-                            // must imply every delivered result is
-                            // already buffered. (A `Lose` drops the
-                            // message on the floor; the master's
-                            // timeout will notice.)
-                            let _ = done_tx.send(out);
-                        }
-                        pool.finish_one();
-                    }
-                });
-            }
-            drop(done_tx);
-
-            // One result-handling path for both the live loop and the
-            // post-quiescence drain: fills images, aborts on a
-            // deterministic compile error, queues contained panics for
-            // retry.
-            macro_rules! on_done {
-                ($idx:expr, $res:expr, $to_retry:expr) => {{
-                    let idx: usize = $idx;
-                    if in_flight[idx] {
-                        in_flight[idx] = false;
-                        outstanding -= 1;
-                    }
-                    match $res {
-                        Ok((img, rec, dt)) => {
-                            if images[idx].is_none() {
-                                timings[idx] = Some(dt);
-                                images[idx] = Some(img);
-                                records[idx] = Some(rec);
-                            }
-                        }
-                        Err(JobFailure::Error(e)) => {
-                            if first_err.is_none() {
-                                first_err = Some(e);
-                            }
-                        }
-                        Err(JobFailure::Panicked(msg)) => {
-                            stats.panics += 1;
-                            trace.instant(
-                                "fault",
-                                format!("panic (job {idx}): {msg}"),
-                                driver_track,
-                                trace.now_ns(),
-                            );
-                            if attempts_used[idx] < policy.max_attempts {
-                                $to_retry.push(idx);
-                            }
-                        }
-                    }
-                }};
-            }
-
-            // The master collects results one event at a time under the
-            // per-job timeout; there are no rounds. A contained panic
-            // is re-injected immediately, silence past the timeout
-            // triggers a quiescence wait + drain so late (stalled)
-            // results are kept before anything is declared lost.
-            while outstanding > 0 && first_err.is_none() {
-                let mut to_retry: Vec<usize> = Vec::new();
-                match done_rx.recv_timeout(policy.job_timeout) {
-                    Ok((idx, res)) => on_done!(idx, res, to_retry),
-                    Err(e) if e.is_timeout() => {
-                        stats.timeouts += 1;
-                        trace.instant(
-                            "fault",
-                            format!("timeout ({outstanding} jobs outstanding)"),
-                            driver_track,
-                            trace.now_ns(),
-                        );
-                        // Let stragglers finish, keep every late
-                        // result, and only then call the rest lost.
-                        pool.wait_quiet();
-                        while let Ok((idx, res)) = done_rx.recv_timeout(Duration::ZERO) {
-                            on_done!(idx, res, to_retry);
-                        }
-                        for idx in 0..in_flight.len() {
-                            if in_flight[idx] {
-                                stats.lost += 1;
-                                in_flight[idx] = false;
-                                outstanding -= 1;
-                                if attempts_used[idx] < policy.max_attempts {
-                                    to_retry.push(idx);
-                                }
-                            }
-                        }
-                    }
-                    Err(_) => break, // Workers gone — unreachable while the pool lives.
-                }
-                if to_retry.is_empty() {
-                    continue;
-                }
-                // Re-inject onto the *running* pool with bounded
-                // exponential backoff; the workers keep compiling
-                // other jobs while the master sleeps.
-                stats.retries += to_retry.len();
-                if trace.is_enabled() {
-                    for &idx in &to_retry {
-                        let (_, (si, fi), _) = job_by_idx[idx].expect("retried job was queued");
-                        let name = &checked.module.sections[si].functions[fi].name;
-                        let attempt = attempts_used[idx];
-                        trace.instant(
-                            "retry",
-                            format!("retry {name} (attempt {attempt}, job {idx})"),
-                            driver_track,
-                            trace.now_ns(),
-                        );
-                    }
-                }
-                let worst = to_retry
-                    .iter()
-                    .map(|&i| attempts_used[i])
-                    .max()
-                    .unwrap_or(1);
-                let shift = (worst - 1).min(16) as u32;
-                let backoff = policy.backoff.saturating_mul(1u32 << shift);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                for &idx in &to_retry {
-                    let attempt = attempts_used[idx];
-                    attempts_used[idx] += 1;
-                    in_flight[idx] = true;
-                    outstanding += 1;
-                    pool.submit(job_by_idx[idx].expect("retried job was queued"), attempt);
-                }
-            }
-            pool.shutdown();
-        });
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-
-    // Retry budget exhausted with jobs still missing: the master
-    // compiles them itself, sequentially, in-process. Injected chaos
-    // does not apply here (the master's own machine is the one host
-    // the paper assumes works), so this always terminates; a genuine
-    // panic inside the compiler is still contained and surfaced as a
-    // diagnostic.
-    for &(idx, (si, fi), key) in &queued {
-        if images[idx].is_some() {
-            continue;
-        }
-        stats.sequential_fallbacks += 1;
-        let name = checked.module.sections[si].functions[fi].name.as_str();
-        trace.instant(
-            "retry",
-            format!("fallback {name} (job {idx})"),
-            driver_track,
-            trace.now_ns(),
-        );
-        let t = Instant::now();
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            compile_function_traced(&checked, source, si, fi, opts, trace, driver_track)
-        }))
-        .map_err(|payload| {
-            CompileError::Worker(format!(
-                "function `{name}` panicked during in-master fallback compilation: {}",
-                panic_message(payload)
-            ))
-        })??;
-        let (img, rec) = out;
-        if let (Some(cache), Some(key)) = (cache, key) {
-            cache.store(
-                key,
-                CachedFunction {
-                    image: img.clone(),
-                    record: rec.clone(),
-                },
-            );
-        }
-        timings[idx] = Some(t.elapsed());
-        images[idx] = Some(img);
-        records[idx] = Some(rec);
-    }
-    compile_span.finish();
-    let compile_wall = tc.elapsed();
-
-    let tl = Instant::now();
-    // Every job was filled by a worker, a late drain, or the fallback;
-    // a hole here is a bug in the recovery loop, reported as a
-    // diagnostic rather than a panic.
-    let mut final_images = Vec::with_capacity(jobs.len());
-    let mut final_records = Vec::with_capacity(jobs.len());
-    let mut per_function = Vec::with_capacity(jobs.len());
-    for (idx, (img, (rec, dt))) in images
-        .into_iter()
-        .zip(records.into_iter().zip(timings))
-        .enumerate()
-    {
-        match (img, rec, dt) {
-            (Some(img), Some(rec), Some(dt)) => {
-                per_function.push((rec.name.clone(), dt));
-                final_images.push(img);
-                final_records.push(rec);
-            }
-            _ => {
-                return Err(CompileError::Worker(format!(
-                    "job {idx} produced no result despite retries and fallback"
-                )))
-            }
-        }
-    }
-    let (module_image, link_units) =
-        link_module_parallel_traced(&checked, final_images, opts, workers, trace, driver_track)?;
-    let link_wall = tl.elapsed();
-
-    Ok((
-        CompileResult {
-            module_image,
-            records: final_records,
-            phase1_units,
-            link_units,
-            warnings,
-        },
-        ThreadReport {
-            wall: t0.elapsed(),
-            phase1_wall,
-            compile_wall,
-            link_wall,
-            per_function,
-            workers,
-            faults: stats,
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::compile_module_source;
+    use warp_obs::Trace;
     use warp_workload::{synthetic_program, user_program, FunctionSize};
 
     #[test]
@@ -1188,7 +439,12 @@ mod tests {
         let src = synthetic_program(FunctionSize::Small, 4);
         let opts = CompileOptions::default();
         let cache = crate::fncache::FnCache::in_memory();
-        let seq = crate::driver::compile_module_cached(&src, &opts, &cache).expect("seq cold");
+        let (seq, _) = Build {
+            cache: Some(&cache),
+            ..Build::new(&src, &opts)
+        }
+        .run()
+        .expect("seq cold");
         let (par, _) = compile_parallel_cached(&src, &opts, 4, &cache).expect("par warm");
         assert_eq!(seq.module_image, par.module_image);
         // The parallel build was entirely served from the sequential
@@ -1197,77 +453,69 @@ mod tests {
         assert_eq!(cache.stats().hits(), 4);
     }
 
-    // ---- fault tolerance ----
+    // ---- fault tolerance, on the real thread pool ----
+    // (Every branch of the recovery loop is pinned one by one against
+    // a scripted executor in `crate::build`; these run the real thing.)
 
     fn fast_policy() -> RetryPolicy {
         RetryPolicy::fast(Duration::from_millis(80), 3)
     }
 
-    #[test]
-    fn worker_panic_is_contained_and_job_retried() {
+    /// Small x4 on four workers under `chaos`: `None` when the output
+    /// differs from the sequential compiler's.
+    fn survive(chaos: &ChaosPlan, policy: &RetryPolicy, trace: &Trace) -> Option<FaultStats> {
         let src = synthetic_program(FunctionSize::Small, 4);
         let opts = CompileOptions::default();
         let seq = compile_module_source(&src, &opts).expect("seq");
+        let (par, report) = Build {
+            jobs: 4,
+            trace,
+            faults: Some((chaos, policy)),
+            ..Build::new(&src, &opts)
+        }
+        .run()
+        .expect("par");
+        (seq.module_image == par.module_image).then_some(report.faults)
+    }
+
+    #[test]
+    fn worker_panic_is_contained_and_job_retried() {
         for job in 0..4 {
-            let chaos = ChaosPlan::crash_one(job);
-            let (par, report) =
-                compile_parallel_chaos(&src, &opts, 4, &chaos, &fast_policy()).expect("par");
-            assert_eq!(
-                seq.module_image, par.module_image,
-                "bit-identical despite crash of {job}"
-            );
-            assert_eq!(report.faults.panics, 1, "{:?}", report.faults);
-            assert_eq!(report.faults.retries, 1, "{:?}", report.faults);
-            assert_eq!(report.faults.sequential_fallbacks, 0, "{:?}", report.faults);
+            let faults = survive(
+                &ChaosPlan::crash_one(job),
+                &fast_policy(),
+                &Trace::disabled(),
+            )
+            .unwrap_or_else(|| panic!("bit-identical despite crash of {job}"));
+            assert_eq!(faults.crashes, 1, "{faults:?}");
+            assert_eq!(faults.retries, 1, "{faults:?}");
+            assert_eq!(faults.fallbacks, 0, "{faults:?}");
         }
     }
 
     #[test]
     fn lost_result_detected_by_timeout_and_retried() {
-        let src = synthetic_program(FunctionSize::Small, 4);
-        let opts = CompileOptions::default();
-        let seq = compile_module_source(&src, &opts).expect("seq");
-        let chaos = ChaosPlan::lose_one(1);
-        let (par, report) =
-            compile_parallel_chaos(&src, &opts, 4, &chaos, &fast_policy()).expect("par");
-        assert_eq!(
-            seq.module_image, par.module_image,
-            "bit-identical despite lost result"
-        );
-        // The loss is noticed either by the per-job timeout (workers
-        // still busy) or by pool disconnection (workers all drained
-        // the queue and exited); both mark the job lost and retry it.
-        assert!(report.faults.lost >= 1, "{:?}", report.faults);
-        assert!(report.faults.retries >= 1, "{:?}", report.faults);
+        let faults = survive(&ChaosPlan::lose_one(1), &fast_policy(), &Trace::disabled())
+            .expect("bit-identical despite lost result");
+        // The loss is noticed by the per-job timeout; once the pool is
+        // quiet the job is marked lost and retried.
+        assert!(faults.lost >= 1, "{faults:?}");
+        assert!(faults.retries >= 1, "{faults:?}");
     }
 
     #[test]
     fn stalled_worker_late_result_is_used() {
-        let src = synthetic_program(FunctionSize::Small, 4);
-        let opts = CompileOptions::default();
-        let seq = compile_module_source(&src, &opts).expect("seq");
         // The stall (250 ms) is far past the 80 ms timeout; the late
-        // result is drained after the pool joins and no retry runs.
+        // result is drained once the pool is quiet and no retry runs.
         let chaos = ChaosPlan::stall_one(2, Duration::from_millis(250));
-        let (par, report) =
-            compile_parallel_chaos(&src, &opts, 4, &chaos, &fast_policy()).expect("par");
-        assert_eq!(
-            seq.module_image, par.module_image,
-            "bit-identical despite stall"
-        );
-        assert!(report.faults.timeouts >= 1, "{:?}", report.faults);
-        assert_eq!(
-            report.faults.retries, 0,
-            "late result used, no retry: {:?}",
-            report.faults
-        );
+        let faults = survive(&chaos, &fast_policy(), &Trace::disabled())
+            .expect("bit-identical despite stall");
+        assert!(faults.timeouts >= 1, "{faults:?}");
+        assert_eq!(faults.retries, 0, "late result used, no retry: {faults:?}");
     }
 
     #[test]
     fn exhausted_pool_falls_back_to_in_master_sequential() {
-        let src = synthetic_program(FunctionSize::Small, 4);
-        let opts = CompileOptions::default();
-        let seq = compile_module_source(&src, &opts).expect("seq");
         // Every attempt of every job panics; with 2 attempts the
         // master must compile all four functions itself.
         let chaos = ChaosPlan {
@@ -1276,16 +524,29 @@ mod tests {
             ..ChaosPlan::default()
         };
         let policy = RetryPolicy::fast(Duration::from_millis(80), 2);
-        let (par, report) = compile_parallel_chaos(&src, &opts, 4, &chaos, &policy).expect("par");
-        assert_eq!(
-            seq.module_image, par.module_image,
-            "bit-identical via fallback"
+        let faults =
+            survive(&chaos, &policy, &Trace::disabled()).expect("bit-identical via fallback");
+        assert_eq!(faults.fallbacks, 4, "{faults:?}");
+        assert_eq!(faults.crashes, 8, "4 jobs × 2 attempts: {faults:?}");
+    }
+
+    #[test]
+    fn chaos_run_with_tracing_records_fault_spans() {
+        let trace = Trace::new(warp_obs::ClockDomain::Monotonic);
+        let faults = survive(&ChaosPlan::crash_one(0), &fast_policy(), &trace).expect("par");
+        assert_eq!(faults.crashes, 1);
+        let snap = trace.snapshot();
+        assert!(
+            snap.instants
+                .iter()
+                .any(|i| i.cat == "fault" && i.name.starts_with("panic")),
+            "panic instant recorded"
         );
-        assert_eq!(report.faults.sequential_fallbacks, 4, "{:?}", report.faults);
-        assert_eq!(
-            report.faults.panics, 8,
-            "4 jobs × 2 attempts: {:?}",
-            report.faults
+        assert!(
+            snap.instants
+                .iter()
+                .any(|i| i.cat == "retry" && i.name.starts_with("retry")),
+            "retry instant recorded"
         );
     }
 
@@ -1298,8 +559,13 @@ mod tests {
         let seq = compile_module_source(&src, &opts).expect("seq");
         for seed in [1u64, 2, 3] {
             let chaos = ChaosPlan::from_seed(seed);
-            let (par, report) =
-                compile_parallel_chaos(&src, &opts, 4, &chaos, &fast_policy()).expect("par");
+            let (par, report) = Build {
+                jobs: 4,
+                faults: Some((&chaos, &fast_policy())),
+                ..Build::new(&src, &opts)
+            }
+            .run()
+            .expect("par");
             assert_eq!(
                 seq.module_image, par.module_image,
                 "bit-identical under chaos seed {seed}"
@@ -1318,30 +584,5 @@ mod tests {
         }
         // first_attempt_only spares every retry.
         assert!((0..64).all(|j| plan.decide(j, 1) == ChaosAction::None));
-    }
-
-    #[test]
-    fn chaos_run_with_tracing_records_fault_spans() {
-        let src = synthetic_program(FunctionSize::Small, 4);
-        let opts = CompileOptions::default();
-        let trace = Trace::new(warp_obs::ClockDomain::Monotonic);
-        let chaos = ChaosPlan::crash_one(0);
-        let (_, report) =
-            compile_parallel_chaos_traced(&src, &opts, 4, &chaos, &fast_policy(), &trace)
-                .expect("par");
-        assert_eq!(report.faults.panics, 1);
-        let snap = trace.snapshot();
-        assert!(
-            snap.instants
-                .iter()
-                .any(|i| i.cat == "fault" && i.name.starts_with("panic")),
-            "panic instant recorded"
-        );
-        assert!(
-            snap.instants
-                .iter()
-                .any(|i| i.cat == "retry" && i.name.starts_with("retry")),
-            "retry instant recorded"
-        );
     }
 }

@@ -3,8 +3,25 @@
 //! rebuilds re-analyze nothing, and the facts report is stable across
 //! cold and warm builds.
 
-use parcc::{compile_module_cached, compile_module_source, facts_report, CompileOptions, FnCache};
+use parcc::{
+    compile_module_source, facts_report, Build, CompileError, CompileOptions, CompileResult,
+    FnCache,
+};
 use warp_workload::{synthetic_program, FunctionSize};
+
+/// The sequential compiler with an incremental cache in front.
+fn compile_cached(
+    src: &str,
+    opts: &CompileOptions,
+    cache: &FnCache,
+) -> Result<CompileResult, CompileError> {
+    Build {
+        cache: Some(cache),
+        ..Build::new(src, opts)
+    }
+    .run()
+    .map(|(result, _)| result)
+}
 
 fn absint_opts() -> CompileOptions {
     CompileOptions {
@@ -56,12 +73,12 @@ fn warm_rebuild_reuses_cached_facts_without_reanalysis() {
     const N: usize = 4;
     let src = synthetic_program(FunctionSize::Medium, N);
     let cache = FnCache::in_memory();
-    let cold = compile_module_cached(&src, &absint_opts(), &cache).expect("prime");
+    let cold = compile_cached(&src, &absint_opts(), &cache).expect("prime");
     let s = cache.stats();
     assert_eq!((s.hits(), s.misses), (0, N as u64), "cold prime: {s}");
 
     let warm = cache.fork_memory();
-    let hot = compile_module_cached(&src, &absint_opts(), &warm).expect("rebuild");
+    let hot = compile_cached(&src, &absint_opts(), &warm).expect("rebuild");
     let s = warm.stats();
     assert_eq!(
         (s.hits(), s.misses),
@@ -87,9 +104,9 @@ fn absint_option_does_not_share_cache_entries() {
     const N: usize = 2;
     let src = synthetic_program(FunctionSize::Small, N);
     let cache = FnCache::in_memory();
-    compile_module_cached(&src, &CompileOptions::default(), &cache).expect("prime off");
+    compile_cached(&src, &CompileOptions::default(), &cache).expect("prime off");
     let warm = cache.fork_memory();
-    let on = compile_module_cached(&src, &absint_opts(), &warm).expect("absint build");
+    let on = compile_cached(&src, &absint_opts(), &warm).expect("absint build");
     let s = warm.stats();
     assert_eq!(
         s.hits(),

@@ -5,17 +5,33 @@
 //! This is what makes the cache sound to use at all — a hit must be
 //! indistinguishable from a recompilation.
 
-use parcc::threads::{
-    compile_parallel, compile_parallel_cached, compile_parallel_chaos_cached, ChaosPlan,
-    RetryPolicy,
+use parcc::threads::{compile_parallel, compile_parallel_cached, ChaosPlan, RetryPolicy};
+use parcc::{
+    compile_module_source, Build, BuildReport, CompileError, CompileOptions, CompileResult, FnCache,
 };
-use parcc::{compile_module_source, CompileOptions, CompileResult, FnCache};
 use proptest::prelude::*;
 use std::time::Duration;
 use warp_workload::{synthetic_program, FunctionSize};
 
 fn image_bytes(r: &CompileResult) -> Vec<u8> {
     warp_target::download::encode(&r.module_image).expect("encode module")
+}
+
+fn chaos_cached_build(
+    src: &str,
+    opts: &CompileOptions,
+    workers: usize,
+    cache: &FnCache,
+    chaos: &ChaosPlan,
+    policy: &RetryPolicy,
+) -> Result<(CompileResult, BuildReport), CompileError> {
+    Build {
+        jobs: workers,
+        cache: Some(cache),
+        faults: Some((chaos, policy)),
+        ..Build::new(src, opts)
+    }
+    .run()
 }
 
 /// Compiles `src` every way — sequential, parallel at several widths,
@@ -82,17 +98,15 @@ fn chaos_matrix_is_bit_identical_across_workers_and_cache_temperature() {
         for seed in 1u64..=8 {
             let chaos = ChaosPlan::from_seed(seed);
             let cache = FnCache::in_memory();
-            let (cold, _) =
-                compile_parallel_chaos_cached(&src, &opts, workers, &cache, &chaos, &policy)
-                    .expect("cold chaos compile");
+            let (cold, _) = chaos_cached_build(&src, &opts, workers, &cache, &chaos, &policy)
+                .expect("cold chaos compile");
             assert_eq!(
                 image_bytes(&cold),
                 ref_bytes,
                 "cold cache, {workers} workers, seed {seed}: diverged"
             );
-            let (warm, _) =
-                compile_parallel_chaos_cached(&src, &opts, workers, &cache, &chaos, &policy)
-                    .expect("warm chaos compile");
+            let (warm, _) = chaos_cached_build(&src, &opts, workers, &cache, &chaos, &policy)
+                .expect("warm chaos compile");
             assert_eq!(
                 image_bytes(&warm),
                 ref_bytes,
@@ -121,15 +135,9 @@ fn every_example_program_is_bit_identical_under_chaos() {
         let ref_bytes = image_bytes(&reference);
         for seed in 1u64..=8 {
             let cache = FnCache::in_memory();
-            let (got, _) = compile_parallel_chaos_cached(
-                &src,
-                &opts,
-                4,
-                &cache,
-                &ChaosPlan::from_seed(seed),
-                &policy,
-            )
-            .expect("chaos compile");
+            let (got, _) =
+                chaos_cached_build(&src, &opts, 4, &cache, &ChaosPlan::from_seed(seed), &policy)
+                    .expect("chaos compile");
             assert_eq!(
                 image_bytes(&got),
                 ref_bytes,

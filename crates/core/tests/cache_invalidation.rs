@@ -10,8 +10,22 @@
 //! All assertions go through the cache's hit/miss counters, so they
 //! pin the *mechanism*, not just the output.
 
-use parcc::{compile_module_cached, CompileOptions, FnCache};
+use parcc::{Build, CompileError, CompileOptions, CompileResult, FnCache};
 use warp_workload::{synthetic_program, FunctionSize};
+
+/// The sequential compiler with an incremental cache in front.
+fn compile_cached(
+    src: &str,
+    opts: &CompileOptions,
+    cache: &FnCache,
+) -> Result<CompileResult, CompileError> {
+    Build {
+        cache: Some(cache),
+        ..Build::new(src, opts)
+    }
+    .run()
+    .map(|(result, _)| result)
+}
 
 const N: usize = 4;
 
@@ -19,7 +33,7 @@ const N: usize = 4;
 fn primed() -> (String, FnCache) {
     let src = synthetic_program(FunctionSize::Medium, N);
     let cache = FnCache::in_memory();
-    compile_module_cached(&src, &CompileOptions::default(), &cache).expect("prime");
+    compile_cached(&src, &CompileOptions::default(), &cache).expect("prime");
     let s = cache.stats();
     assert_eq!(
         (s.hits(), s.misses, s.stores),
@@ -33,7 +47,7 @@ fn primed() -> (String, FnCache) {
 fn unchanged_rebuild_hits_everything() {
     let (src, cache) = primed();
     let warm = cache.fork_memory();
-    compile_module_cached(&src, &CompileOptions::default(), &warm).expect("rebuild");
+    compile_cached(&src, &CompileOptions::default(), &warm).expect("rebuild");
     let s = warm.stats();
     assert_eq!((s.hits(), s.misses, s.stores), (N as u64, 0, 0), "{s}");
 }
@@ -46,7 +60,7 @@ fn editing_one_function_recompiles_exactly_that_function() {
     let edited = src.replacen("0 to 15", "0 to 16", 1);
     assert_ne!(edited, src, "workload must contain the expected loop bound");
     let warm = cache.fork_memory();
-    compile_module_cached(&edited, &CompileOptions::default(), &warm).expect("rebuild");
+    compile_cached(&edited, &CompileOptions::default(), &warm).expect("rebuild");
     let s = warm.stats();
     assert_eq!(
         (s.hits(), s.misses, s.stores),
@@ -82,7 +96,7 @@ fn changing_compile_options_invalidates_everything() {
         ),
     ] {
         let warm = cache.fork_memory();
-        compile_module_cached(&src, &opts, &warm).expect("rebuild");
+        compile_cached(&src, &opts, &warm).expect("rebuild");
         let s = warm.stats();
         assert_eq!(s.hits(), 0, "{label}: stale options must never hit: {s}");
         assert_eq!(s.misses, N as u64, "{label}: {s}");
@@ -102,7 +116,7 @@ fn changing_module_interface_invalidates_the_section() {
         format!("{body}function cache_probe(x: float): float begin return x + 1.0; end;\nend;\n");
     assert_ne!(grown, src);
     let warm = cache.fork_memory();
-    compile_module_cached(&grown, &CompileOptions::default(), &warm).expect("rebuild");
+    compile_cached(&grown, &CompileOptions::default(), &warm).expect("rebuild");
     let s = warm.stats();
     assert_eq!(
         s.hits(),
@@ -121,9 +135,9 @@ fn options_roundtrip_back_to_hits() {
         verify_each_pass: true,
         ..CompileOptions::default()
     };
-    compile_module_cached(&src, &other, &cache).expect("other options");
+    compile_cached(&src, &other, &cache).expect("other options");
     let warm = cache.fork_memory();
-    compile_module_cached(&src, &CompileOptions::default(), &warm).expect("back");
+    compile_cached(&src, &CompileOptions::default(), &warm).expect("back");
     let s = warm.stats();
     assert_eq!((s.hits(), s.misses), (N as u64, 0), "{s}");
 }

@@ -7,8 +7,8 @@
 //! offending trace/report JSON under `chaos-artifacts/` (uploaded by
 //! the CI job) and then panics with the path in the message.
 
-use parcc::threads::{compile_parallel_chaos_traced, ChaosPlan, RetryPolicy};
-use parcc::{compile_module_source, CompileOptions, CompileResult, Experiment};
+use parcc::threads::{ChaosPlan, RetryPolicy};
+use parcc::{compile_module_source, Build, CompileOptions, CompileResult, Experiment};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -60,8 +60,14 @@ fn assert_chaos_identical(
 ) {
     let reference = compile_module_source(src, opts).expect("sequential");
     let trace = Trace::new(ClockDomain::Monotonic);
-    let (got, report) = compile_parallel_chaos_traced(src, opts, workers, chaos, policy, &trace)
-        .unwrap_or_else(|e| panic!("{what}: chaos compile failed: {e}"));
+    let (got, report) = Build {
+        jobs: workers,
+        trace: &trace,
+        faults: Some((chaos, policy)),
+        ..Build::new(src, opts)
+    }
+    .run()
+    .unwrap_or_else(|e| panic!("{what}: chaos compile failed: {e}"));
     if image_bytes(&got) != image_bytes(&reference) || got.records != reference.records {
         let json = warp_obs::to_chrome_json(&trace.snapshot());
         let path = write_artifact(&format!("{what}.trace.json"), &json);

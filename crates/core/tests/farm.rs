@@ -8,7 +8,10 @@
 
 use parcc::farm::{compile_farm, FarmConfig};
 use parcc::threads::compile_parallel;
-use parcc::{compile_module_source, CompileError, CompileOptions, CompileResult};
+use parcc::{
+    compile_module_source, Build, BuildReport, CompileError, CompileOptions, CompileResult,
+    FarmCensus,
+};
 use std::path::PathBuf;
 use std::time::Duration;
 use warp_workload::{synthetic_program, FunctionSize};
@@ -27,6 +30,11 @@ fn farm_config(workers: usize) -> FarmConfig {
 
 fn image_bytes(r: &CompileResult) -> Vec<u8> {
     warp_target::download::encode(&r.module_image).expect("encode module")
+}
+
+/// The worker census every farm build reports.
+fn census(report: &BuildReport) -> &FarmCensus {
+    report.farm.as_ref().expect("farm builds report a census")
 }
 
 /// A scratch dir under the target temp dir, removed on drop.
@@ -69,8 +77,8 @@ fn farm_matches_sequential_and_threads_on_fig6_workload() {
         "farm diverged from sequential"
     );
     assert_eq!(sequential.records, farmed.records, "farm records diverged");
-    assert_eq!(report.workers_spawned, 4);
-    assert_eq!(report.workers_lost, 0);
+    assert_eq!(census(&report).spawned, 4);
+    assert_eq!(census(&report).lost, 0);
     assert!(
         report.faults.is_quiet(),
         "healthy build: {:?}",
@@ -93,16 +101,21 @@ fn cold_farm_ships_hashes_warm_farm_ships_nothing() {
     let (cold, cold_report) = compile_farm(&src, &opts, &cfg).expect("cold farm");
     let n = cold.records.len();
     assert_eq!(cold_report.cache_hits, 0);
-    assert_eq!(cold_report.hash_shipped, n, "{cold_report:?}");
-    assert_eq!(cold_report.bytes_shipped, 0, "{cold_report:?}");
+    assert_eq!(census(&cold_report).hash_shipped, n, "{cold_report:?}");
+    assert_eq!(census(&cold_report).bytes_shipped, 0, "{cold_report:?}");
 
     // Warm: every job resolves from the store before dispatch; no
     // worker process is even spawned.
     let (warm, warm_report) = compile_farm(&src, &opts, &cfg).expect("warm farm");
     assert_eq!(warm_report.cache_hits, n);
-    assert_eq!(warm_report.workers_spawned, 0, "warm build spawned workers");
-    assert_eq!(warm_report.hash_shipped, 0);
-    assert_eq!(warm_report.bytes_shipped, 0);
+    assert_eq!(
+        census(&warm_report).spawned,
+        0,
+        "warm build spawned workers"
+    );
+    assert!(census(&warm_report).pids.is_empty(), "{warm_report:?}");
+    assert_eq!(census(&warm_report).hash_shipped, 0);
+    assert_eq!(census(&warm_report).bytes_shipped, 0);
     assert_eq!(image_bytes(&cold), image_bytes(&warm));
     assert_eq!(cold.records, warm.records);
 }
@@ -118,22 +131,12 @@ fn ship_bytes_mode_is_identical_but_pays_in_bytes() {
     let sequential = compile_module_source(&src, &opts).expect("sequential");
     let (farmed, report) = compile_farm(&src, &opts, &cfg).expect("farm");
     assert_eq!(image_bytes(&sequential), image_bytes(&farmed));
-    assert_eq!(report.bytes_shipped, farmed.records.len(), "{report:?}");
-    assert_eq!(report.hash_shipped, 0, "{report:?}");
-}
-
-#[test]
-fn tcp_transport_matches_unix() {
-    let src = synthetic_program(FunctionSize::Small, 4);
-    let opts = CompileOptions::default();
-    let sequential = compile_module_source(&src, &opts).expect("sequential");
-    let cfg = FarmConfig {
-        tcp: true,
-        ..farm_config(2)
-    };
-    let (farmed, report) = compile_farm(&src, &opts, &cfg).expect("tcp farm");
-    assert_eq!(image_bytes(&sequential), image_bytes(&farmed));
-    assert_eq!(report.workers_spawned, 2);
+    assert_eq!(
+        census(&report).bytes_shipped,
+        farmed.records.len(),
+        "{report:?}"
+    );
+    assert_eq!(census(&report).hash_shipped, 0, "{report:?}");
 }
 
 #[test]
@@ -160,12 +163,13 @@ fn no_worker_processes_or_sockets_outlive_the_build() {
     let src = synthetic_program(FunctionSize::Small, 4);
     let opts = CompileOptions::default();
     let (_, report) = compile_farm(&src, &opts, &farm_config(3)).expect("farm");
-    assert_eq!(report.worker_pids.len(), 3);
+    let census = census(&report);
+    assert_eq!(census.pids.len(), 3);
 
     // Every worker must be fully reaped: a zombie still has a /proc
     // entry, so an absent (or foreign) /proc/<pid> proves both exit
     // and reaping.
-    for pid in &report.worker_pids {
+    for pid in &census.pids {
         let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).unwrap_or_default();
         let cmdline = String::from_utf8_lossy(&cmdline).replace('\0', " ");
         assert!(
@@ -174,15 +178,22 @@ fn no_worker_processes_or_sockets_outlive_the_build() {
         );
     }
 
-    // The farm's scratch dirs (socket + private cache) are removed.
+    // This build's own scratch dir (socket + private store) is gone.
+    // (Sibling tests in this process have farms of their own open, so
+    // only the directory the report names is this test's business.)
     let me = std::process::id();
-    let leftovers: Vec<String> = std::fs::read_dir(std::env::temp_dir())
-        .expect("read temp dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with(&format!("warp-farm-{me}-")))
-        .collect();
-    assert!(leftovers.is_empty(), "leaked farm dirs: {leftovers:?}");
+    assert!(
+        census
+            .scratch_dir
+            .file_name()
+            .is_some_and(|n| n.to_string_lossy().starts_with(&format!("warp-farm-{me}-"))),
+        "{census:?}"
+    );
+    assert!(
+        !census.scratch_dir.exists(),
+        "leaked farm dir {}",
+        census.scratch_dir.display()
+    );
 }
 
 #[test]
@@ -212,5 +223,41 @@ fn farm_of_one_worker_still_works() {
     let sequential = compile_module_source(&src, &opts).expect("sequential");
     let (farmed, report) = compile_farm(&src, &opts, &farm_config(1)).expect("farm");
     assert_eq!(image_bytes(&sequential), image_bytes(&farmed));
-    assert_eq!(report.workers_spawned, 1);
+    assert_eq!(census(&report).spawned, 1);
+}
+
+#[test]
+fn every_executor_verifies_the_linked_module() {
+    // Under `verify_each_pass` the pipeline checks the linked module
+    // once, whatever ran the compiles: the `module:<name>` verify span
+    // must be there for the caller's thread, the thread pool and the
+    // farm alike.
+    let src = synthetic_program(FunctionSize::Small, 3);
+    let opts = CompileOptions {
+        verify_each_pass: true,
+        ..CompileOptions::default()
+    };
+    let cfg = farm_config(2);
+    for (what, jobs, farm) in [
+        ("inline", 1, None),
+        ("threads", 2, None),
+        ("farm", 2, Some(&cfg)),
+    ] {
+        let trace = warp_obs::Trace::new(warp_obs::ClockDomain::Monotonic);
+        let (result, _) = Build {
+            jobs,
+            farm,
+            trace: &trace,
+            ..Build::new(&src, &opts)
+        }
+        .run()
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let wanted = format!("module:{}", result.module_image.name);
+        let snap = trace.snapshot();
+        assert_eq!(
+            snap.spans_in("verify").filter(|s| s.name == wanted).count(),
+            1,
+            "{what}: one `{wanted}` verify span"
+        );
+    }
 }

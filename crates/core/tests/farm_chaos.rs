@@ -9,9 +9,11 @@
 //! suite; locally the full default sweep runs. Failures write their
 //! trace and report under `farm-chaos-artifacts/` before panicking.
 
-use parcc::farm::{compile_farm_traced, FarmConfig};
+use parcc::farm::FarmConfig;
 use parcc::threads::{ChaosPlan, RetryPolicy};
-use parcc::{compile_module_source, CompileOptions, CompileResult};
+use parcc::{
+    compile_module_source, Build, BuildReport, CompileError, CompileOptions, CompileResult,
+};
 use std::path::PathBuf;
 use std::time::Duration;
 use warp_obs::{ClockDomain, Trace};
@@ -44,29 +46,57 @@ fn image_bytes(r: &CompileResult) -> Vec<u8> {
     warp_target::download::encode(&r.module_image).expect("encode module")
 }
 
-fn chaos_config(workers: usize, chaos: ChaosPlan) -> FarmConfig {
-    FarmConfig {
-        worker_cmd: Some(PathBuf::from(env!("CARGO_BIN_EXE_warpd-worker"))),
-        chaos: Some(chaos),
+/// A farm of `workers` real processes struck by `chaos`.
+struct ChaosFarm {
+    cfg: FarmConfig,
+    chaos: ChaosPlan,
+    policy: RetryPolicy,
+}
+
+fn chaos_config(workers: usize, chaos: ChaosPlan) -> ChaosFarm {
+    ChaosFarm {
+        cfg: FarmConfig {
+            worker_cmd: Some(PathBuf::from(env!("CARGO_BIN_EXE_warpd-worker"))),
+            ..FarmConfig::new(workers)
+        },
+        chaos,
         // Short timeout so lost/stalled jobs are detected in test
         // time; enough headroom that a healthy compile never trips it.
         policy: RetryPolicy::fast(Duration::from_secs(5), 3),
-        ..FarmConfig::new(workers)
+    }
+}
+
+impl ChaosFarm {
+    fn compile(
+        &self,
+        src: &str,
+        opts: &CompileOptions,
+        trace: &Trace,
+    ) -> Result<(CompileResult, BuildReport), CompileError> {
+        Build {
+            jobs: self.cfg.workers,
+            farm: Some(&self.cfg),
+            trace,
+            faults: Some((&self.chaos, &self.policy)),
+            ..Build::new(src, opts)
+        }
+        .run()
     }
 }
 
 /// Compiles `src` on a chaos-stricken farm and asserts the image is
 /// bit-identical to the sequential compile; on divergence the trace
 /// and fault report go to `farm-chaos-artifacts/` first.
-fn assert_farm_chaos_identical(src: &str, opts: &CompileOptions, cfg: &FarmConfig, what: &str) {
+fn assert_farm_chaos_identical(src: &str, opts: &CompileOptions, cfg: &ChaosFarm, what: &str) {
     let reference = compile_module_source(src, opts).expect("sequential");
     let trace = Trace::new(ClockDomain::Monotonic);
-    let (got, report) = compile_farm_traced(src, opts, cfg, &trace)
+    let (got, report) = cfg
+        .compile(src, opts, &trace)
         .unwrap_or_else(|e| panic!("{what}: farm chaos compile failed: {e}"));
     let identical =
         image_bytes(&got) == image_bytes(&reference) && got.records == reference.records;
     let mut leaked = Vec::new();
-    for pid in &report.worker_pids {
+    for pid in &report.farm.as_ref().expect("census").pids {
         let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).unwrap_or_default();
         let cmdline = String::from_utf8_lossy(&cmdline).replace('\0', " ");
         if cmdline.contains("warpd-worker") {
@@ -148,6 +178,28 @@ fn stalled_worker_past_timeout_is_bit_identical() {
 }
 
 #[test]
+fn wedged_worker_is_killed_and_cannot_hang_the_build() {
+    let opts = CompileOptions::default();
+    let src = synthetic_program(FunctionSize::Small, 4);
+    // One worker is told to stall for a minute under a 200 ms timeout.
+    // The master waits out one timeout of silence and one more for the
+    // farm to go quiet, then kills the process; the attempt comes back
+    // crashed and is re-dispatched to the surviving worker.
+    let mut cfg = chaos_config(2, ChaosPlan::stall_one(1, Duration::from_secs(60)));
+    cfg.policy = RetryPolicy::fast(Duration::from_millis(200), 3);
+    let t = std::time::Instant::now();
+    let (got, report) = cfg.compile(&src, &opts, &Trace::disabled()).expect("farm");
+    let took = t.elapsed();
+    let reference = compile_module_source(&src, &opts).expect("sequential");
+    assert_eq!(image_bytes(&reference), image_bytes(&got));
+    assert!(took < Duration::from_secs(5), "build took {took:?}");
+    assert_eq!(report.farm.expect("census").lost, 1, "{:?}", report.faults);
+    assert!(report.faults.timeouts >= 1, "{:?}", report.faults);
+    assert_eq!(report.faults.crashes, 1, "{:?}", report.faults);
+    assert_eq!(report.faults.fallbacks, 0, "{:?}", report.faults);
+}
+
+#[test]
 fn killing_every_worker_falls_back_to_the_coordinator() {
     let opts = CompileOptions::default();
     let src = synthetic_program(FunctionSize::Small, 4);
@@ -159,12 +211,14 @@ fn killing_every_worker_falls_back_to_the_coordinator() {
         ..ChaosPlan::default()
     };
     let reference = compile_module_source(&src, &opts).expect("sequential");
-    let (got, report) =
-        parcc::farm::compile_farm(&src, &opts, &chaos_config(2, chaos)).expect("farm");
+    let (got, report) = chaos_config(2, chaos)
+        .compile(&src, &opts, &Trace::disabled())
+        .expect("farm");
     assert_eq!(image_bytes(&reference), image_bytes(&got));
-    assert_eq!(report.workers_lost, report.workers_spawned);
+    let census = report.farm.as_ref().expect("census");
+    assert_eq!(census.lost, census.spawned);
     assert!(
-        report.faults.coordinator_fallbacks > 0,
+        report.faults.fallbacks > 0,
         "the coordinator must have taken work back: {:?}",
         report.faults
     );
@@ -176,9 +230,9 @@ fn farm_chaos_reports_count_real_faults() {
     let src = synthetic_program(FunctionSize::Small, 6);
     // One guaranteed kill: the report must show it, and recovery must
     // leave no trace in the output.
-    let (_, report) =
-        parcc::farm::compile_farm(&src, &opts, &chaos_config(3, ChaosPlan::crash_one(0)))
-            .expect("farm");
-    assert_eq!(report.faults.kills, 1, "{:?}", report.faults);
-    assert_eq!(report.workers_lost, 1, "{:?}", report.faults);
+    let (_, report) = chaos_config(3, ChaosPlan::crash_one(0))
+        .compile(&src, &opts, &Trace::disabled())
+        .expect("farm");
+    assert_eq!(report.faults.crashes, 1, "{:?}", report.faults);
+    assert_eq!(report.farm.expect("census").lost, 1, "{:?}", report.faults);
 }

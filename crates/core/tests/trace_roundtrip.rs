@@ -79,9 +79,13 @@ fn parallel_compile_trace_has_the_documented_sched_shape() {
     let workers = 4;
     let src = synthetic_program(FunctionSize::Small, 8);
     let trace = warp_obs::Trace::new(warp_obs::ClockDomain::Monotonic);
-    let (result, _) =
-        parcc::compile_parallel_traced(&src, &CompileOptions::default(), workers, &trace)
-            .expect("parallel compile");
+    let (result, _) = parcc::Build {
+        jobs: workers,
+        trace: &trace,
+        ..parcc::Build::new(&src, &CompileOptions::default())
+    }
+    .run()
+    .expect("parallel compile");
     assert_eq!(result.records.len(), 8);
 
     let snap = trace.snapshot();

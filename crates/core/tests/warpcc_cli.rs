@@ -17,6 +17,7 @@ fn write_program() -> tempfile_path::TempPath {
 /// Minimal temp-file helper (no extra dependencies).
 mod tempfile_path {
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     pub struct TempPath(pub PathBuf);
 
@@ -26,12 +27,16 @@ mod tempfile_path {
         }
     }
 
+    /// Every call gets its own file (pid + counter): tests sharing one
+    /// program text must not overwrite — and on drop delete — each
+    /// other's input.
     pub fn write(contents: &str) -> TempPath {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
         let mut p = std::env::temp_dir();
         p.push(format!(
             "warpcc-test-{}-{}.w2",
             std::process::id(),
-            contents.len()
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&p, contents).expect("write temp program");
         TempPath(p)
@@ -325,4 +330,46 @@ fn farm_and_jobs_are_mutually_exclusive() {
         stderr.contains("--farm") && stderr.contains("--jobs"),
         "{stderr}"
     );
+}
+
+#[test]
+fn faults_cache_and_trace_combine_and_stay_byte_identical() {
+    let f = write_program();
+    let scratch = std::env::temp_dir().join(format!("warpcc-test-combo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    let path = |name: &str| scratch.join(name).to_str().expect("utf-8 path").to_string();
+
+    let sequential = warpcc()
+        .args(["-o", &path("seq.dl")])
+        .arg(&f.0)
+        .output()
+        .expect("run warpcc");
+    assert!(sequential.status.success());
+    // Cold, then warm: both under injected faults, cached and traced.
+    for _ in 0..2 {
+        let out = warpcc()
+            .args(["--jobs", "2", "--fault-seed", "3"])
+            .args([
+                "--cache-dir",
+                &path("cache"),
+                "--trace",
+                &path("trace.json"),
+            ])
+            .args(["-o", &path("par.dl")])
+            .arg(&f.0)
+            .output()
+            .expect("run warpcc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        assert!(stderr.contains("faults (seed 3):"), "{stderr}");
+        assert_eq!(out.stdout, sequential.stdout);
+        assert_eq!(
+            std::fs::read(path("par.dl")).expect("parallel image"),
+            std::fs::read(path("seq.dl")).expect("sequential image")
+        );
+        let trace = std::fs::read_to_string(path("trace.json")).expect("trace file");
+        warp_obs::validate_chrome_json(&trace).expect("valid Chrome trace");
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -121,39 +121,10 @@ pub fn phase1_with_warnings(source: &str) -> Result<(CheckedModule, DiagnosticBa
     }
 }
 
-/// Phase-1 work measurement: deterministic counts of the work performed,
-/// used by the host simulator to convert real compilations into
-/// 1989-scale times.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ParseWork {
-    /// Number of tokens lexed.
-    pub tokens: usize,
-    /// Number of AST statements produced.
-    pub statements: usize,
-    /// Number of bytes of source text.
-    pub source_bytes: usize,
-}
-
-impl ParseWork {
-    /// Measures the phase-1 work for `source` (tokens, statements,
-    /// bytes). Runs the lexer and parser but not the checker.
-    pub fn measure(source: &str) -> ParseWork {
-        let lexed = lexer::lex(source);
-        let tokens = lexed.tokens.len();
-        let parsed = parser::parse(source);
-        ParseWork {
-            tokens,
-            statements: statement_count(&parsed.module),
-            source_bytes: source.len(),
-        }
-    }
-}
-
 /// Counts the statements of every function body in `module`, recursing
-/// into `if`/`while`/`for` bodies — the statement metric of
-/// [`ParseWork`]. Exposed so a driver that already holds a parsed
-/// module (e.g. the parallel phase-1 path) can compute the same work
-/// numbers without re-parsing the source.
+/// into `if`/`while`/`for` bodies — the statement metric of the
+/// phase-1 work units the host simulator converts into 1989-scale
+/// times. A driver computes it from the module it already holds.
 pub fn statement_count(module: &ast::Module) -> usize {
     fn count_stmts(stmts: &[ast::Stmt]) -> usize {
         stmts
@@ -214,16 +185,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_work_is_positive_and_monotone() {
+    fn statement_count_is_positive_and_monotone() {
         let small = "module m; section a on cells 0..1;\n\
                      function f(x: float): float begin return x; end; end;";
         let large = "module m; section a on cells 0..1;\n\
                      function f(x: float): float var i: int; acc: float; begin \
                      acc := 0.0; for i := 0 to 9 do acc := acc + x; end; return acc; end; end;";
-        let w1 = ParseWork::measure(small);
-        let w2 = ParseWork::measure(large);
-        assert!(w1.tokens > 0 && w1.statements > 0);
-        assert!(w2.tokens > w1.tokens);
-        assert!(w2.statements > w1.statements);
+        let count = |src| statement_count(&parser::parse(src).module);
+        assert!(count(small) > 0);
+        assert!(count(large) > count(small));
     }
 }

@@ -22,7 +22,7 @@
 
 use crate::ast::*;
 use crate::diag::DiagnosticBag;
-use crate::lexer::lex;
+use crate::lexer::{lex, LexOutput};
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
@@ -43,7 +43,12 @@ pub struct ParseOutput {
 /// diagnostics. This is compiler **phase 1** (minus semantic checking,
 /// which lives in [`crate::sema`]).
 pub fn parse(source: &str) -> ParseOutput {
-    let lexed = lex(source);
+    parse_lexed(lex(source))
+}
+
+/// [`parse`] for a caller that already holds the lexed source (and
+/// wants its token count without lexing twice).
+pub fn parse_lexed(lexed: LexOutput) -> ParseOutput {
     let mut parser = Parser {
         tokens: lexed.tokens,
         pos: 0,

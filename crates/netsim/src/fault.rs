@@ -24,8 +24,8 @@
 //! Plans never target workstation 0: that is the master's machine
 //! (the user's own workstation in the paper's setup), assumed
 //! reliable so the build as a whole can always complete — the same
-//! role the in-master sequential fallback plays in the real threaded
-//! driver (`parcc::threads`).
+//! role the in-master sequential fallback plays in real builds
+//! (`parcc::build`).
 //!
 //! Everything is integer-deterministic: the same plan against the
 //! same process tree produces a bit-identical [`crate::SimReport`]

@@ -9,7 +9,7 @@
 //!
 //! One event model, two clock domains:
 //!
-//! * the **threaded driver** (`parcc::threads`, `parcc::driver`) and
+//! * the **build pipeline** (`parcc::build`, `parcc::driver`) and
 //!   the compiler passes record real monotonic time
 //!   ([`ClockDomain::Monotonic`]);
 //! * the **netsim engine** records its deterministic virtual timeline

@@ -170,7 +170,7 @@ impl Trace {
 
     /// Creates a disabled trace: every recording call is a no-op and
     /// [`Trace::snapshot`] returns an empty monotonic snapshot.
-    pub fn disabled() -> Trace {
+    pub const fn disabled() -> Trace {
         Trace { inner: None }
     }
 

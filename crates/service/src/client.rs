@@ -2,10 +2,10 @@
 //! request/response. `warpctl` and the load generator are built on
 //! this.
 
-use crate::daemon::Endpoint;
+use crate::daemon::{Conn, Endpoint};
 use crate::json::Json;
 use crate::proto::{read_message, write_message, Request, Response};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -36,38 +36,9 @@ impl From<io::Error> for ClientError {
     }
 }
 
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// One blocking connection to a `warpd` daemon.
 pub struct Client {
-    stream: Stream,
+    stream: Conn,
     max_frame: usize,
     next_id: u64,
 }
@@ -83,8 +54,8 @@ impl Client {
         let deadline = std::time::Instant::now() + wait;
         loop {
             let attempt = match endpoint {
-                Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
-                Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Stream::Tcp),
+                Endpoint::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
+                Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Conn::Tcp),
             };
             match attempt {
                 Ok(stream) => {
@@ -112,12 +83,7 @@ impl Client {
     /// Transport failures or a malformed/mismatched response.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         write_message(&mut self.stream, &req.to_json())?;
-        let json = read_message(&mut self.stream, self.max_frame, || true)
-            .map_err(|e| match e {
-                crate::proto::FrameError::Io(io) => ClientError::Io(io),
-                other => ClientError::Protocol(other.to_string()),
-            })?
-            .map_err(ClientError::Protocol)?;
+        let json = self.read_json()?;
         let resp = Response::from_json(&json).map_err(ClientError::Protocol)?;
         // Error frames for unreadable requests carry id 0.
         if resp.id() != req.id() && resp.id() != 0 {
@@ -138,12 +104,7 @@ impl Client {
     /// Transport failures or an unparsable response.
     pub fn call_raw(&mut self, payload: &Json) -> Result<Response, ClientError> {
         write_message(&mut self.stream, payload)?;
-        let json = read_message(&mut self.stream, self.max_frame, || true)
-            .map_err(|e| match e {
-                crate::proto::FrameError::Io(io) => ClientError::Io(io),
-                other => ClientError::Protocol(other.to_string()),
-            })?
-            .map_err(ClientError::Protocol)?;
+        let json = self.read_json()?;
         Response::from_json(&json).map_err(ClientError::Protocol)
     }
 
@@ -165,13 +126,18 @@ impl Client {
     ///
     /// Transport failures or an unparsable response.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        let json = read_message(&mut self.stream, self.max_frame, || true)
+        let json = self.read_json()?;
+        Response::from_json(&json).map_err(ClientError::Protocol)
+    }
+
+    /// Reads one frame and parses it as JSON.
+    fn read_json(&mut self) -> Result<Json, ClientError> {
+        read_message(&mut self.stream, self.max_frame, || true)
             .map_err(|e| match e {
                 crate::proto::FrameError::Io(io) => ClientError::Io(io),
                 other => ClientError::Protocol(other.to_string()),
             })?
-            .map_err(ClientError::Protocol)?;
-        Response::from_json(&json).map_err(ClientError::Protocol)
+            .map_err(ClientError::Protocol)
     }
 
     fn fresh_id(&mut self) -> u64 {

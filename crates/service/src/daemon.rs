@@ -26,7 +26,7 @@ use crate::proto::{
     read_message, write_message, ErrorCode, FrameError, HealthInfo, Request, Response,
     WireCacheStats, MAX_FRAME_DEFAULT, PROTOCOL_VERSION,
 };
-use parcc::{compile_module_shared_jobs_traced, options_fingerprint, resolve_jobs, FnCache};
+use parcc::{options_fingerprint, resolve_jobs, Build, FarmConfig, FnCache};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -79,8 +79,9 @@ pub struct DaemonConfig {
     pub cache_dir: Option<PathBuf>,
     /// Compile on a build farm of this many real `warpd-worker` OS
     /// processes ([`parcc::farm`]) instead of in-process threads.
-    /// The farm shares `cache_dir` as its content-addressed object
-    /// store when one is set.
+    /// The farm shares the daemon's cache as its content-addressed
+    /// object store (by hash when `cache_dir` is set, by bytes
+    /// otherwise).
     pub farm_workers: Option<usize>,
     /// Maximum accepted frame payload, bytes.
     pub max_frame: usize,
@@ -165,10 +166,8 @@ impl Drop for Permit<'_> {
 /// State shared by the accept loop and every connection handler.
 struct Shared {
     cache: FnCache,
-    /// `Some(n)` routes compiles through an n-process build farm.
-    farm_workers: Option<usize>,
-    /// The farm's shared object store (the daemon's `cache_dir`).
-    farm_cache_dir: Option<PathBuf>,
+    /// `Some` routes compiles through a build farm of worker processes.
+    farm: Option<FarmConfig>,
     inflight: InFlight,
     admission: Admission,
     trace: Trace,
@@ -285,26 +284,20 @@ impl Shared {
         // `0` means "daemon default"; the cap keeps a hostile request
         // from interning an unbounded number of worker tracks.
         let jobs = resolve_jobs(jobs as usize).min(MAX_JOBS_PER_REQUEST);
-        let result = match self.farm_workers {
-            // Farm mode: real worker processes over sockets, objects
-            // exchanged through the shared on-disk store. The farm
-            // coordinator owns scheduling and retries; the daemon
-            // keeps admission control and tracing.
-            Some(fw) => {
-                let mut cfg = parcc::FarmConfig::new(fw);
-                cfg.cache_dir = self.farm_cache_dir.clone();
-                parcc::compile_farm_traced(module, &opts, &cfg, &self.trace).map(|(r, _)| r)
-            }
-            None => compile_module_shared_jobs_traced(
-                module,
-                &opts,
-                jobs,
-                &self.cache,
-                &self.inflight,
-                &self.trace,
-                track,
-            ),
-        };
+        // One pipeline either way; a farm's worker processes share the
+        // daemon's cache as their object store (and dedup through it —
+        // the pipeline ignores the in-process lease table for them).
+        let result = Build {
+            jobs,
+            farm: self.farm.as_ref(),
+            cache: Some(&self.cache),
+            inflight: Some(&self.inflight),
+            trace: &self.trace,
+            track: Some(track),
+            ..Build::new(module, &opts)
+        }
+        .run()
+        .map(|(r, _)| r);
         let compile_ns = compile_start.elapsed().as_nanos() as u64;
         let after = self.cache.stats();
         drop(permit);
@@ -354,8 +347,9 @@ impl Shared {
     }
 }
 
-/// A live connection of either transport.
-enum Conn {
+/// A live connection of either transport (either end of it: the
+/// client holds one too).
+pub(crate) enum Conn {
     /// Unix-domain stream.
     Unix(UnixStream),
     /// TCP stream.
@@ -465,8 +459,7 @@ impl Warpd {
         };
         let shared = Arc::new(Shared {
             cache,
-            farm_workers: config.farm_workers,
-            farm_cache_dir: config.cache_dir.clone(),
+            farm: config.farm_workers.map(FarmConfig::new),
             inflight: InFlight::new(),
             admission: Admission::new(config.workers, config.queue_depth),
             trace: if config.trace {

@@ -3,7 +3,10 @@
 //! frames, unknown request kinds, malformed JSON, concurrent
 //! duplicate dedup, and admission-control backpressure.
 
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 use warp_service::daemon::{DaemonConfig, Endpoint, Warpd};
 use warp_service::json;
 use warp_service::proto::RequestOptions;
@@ -34,6 +37,23 @@ fn connect(daemon: &Warpd) -> Client {
 fn stop(daemon: Warpd) {
     daemon.stop();
     daemon.join();
+}
+
+/// No wait in this file is open-ended: anything that is not done
+/// within this fails the test instead of hanging it.
+const PATIENCE: Duration = Duration::from_secs(120);
+
+/// `h.join()` with a deadline.
+fn join_within<T>(h: JoinHandle<T>, what: &str) -> T {
+    let deadline = Instant::now() + PATIENCE;
+    while !h.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "{what}: still running after {PATIENCE:?}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    h.join().unwrap_or_else(|_| panic!("{what}: panicked"))
 }
 
 #[test]
@@ -155,13 +175,13 @@ fn concurrent_duplicates_compile_each_function_once() {
     // in-flight leases must collapse the duplicate work: each function
     // records exactly one miss (one compile) no matter how many
     // clients raced.
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(CLIENTS));
+    let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
     let endpoint = daemon.endpoint().clone();
     let handles: Vec<_> = (0..CLIENTS)
         .map(|_| {
             let source = source.clone();
             let endpoint = endpoint.clone();
-            let barrier = std::sync::Arc::clone(&barrier);
+            let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let mut c = Client::connect(&endpoint, Duration::from_secs(5)).expect("connect");
                 barrier.wait();
@@ -172,7 +192,7 @@ fn concurrent_duplicates_compile_each_function_once() {
         .collect();
     let mut images = Vec::new();
     for h in handles {
-        match h.join().expect("thread") {
+        match join_within(h, "duplicate client") {
             Response::Compiled { image_hex, .. } => images.push(image_hex),
             other => panic!("compile failed: {other:?}"),
         }
@@ -199,52 +219,73 @@ fn full_admission_queue_answers_overloaded() {
     config.queue_depth = 0; // no waiting room at all
     let daemon = Warpd::start(config).expect("start");
 
-    // Occupy the single worker with a deliberately slow compile.
-    let slow = module("slow", 3, 80);
+    // Keep the single worker busy for the whole probe: one client
+    // submits slow, never-seen (so never cached) compiles back to back
+    // until told to stop. A single slow compile would race the probe —
+    // finish before it and the probe is admitted, not refused.
+    let stop_busy = Arc::new(AtomicBool::new(false));
     let endpoint = daemon.endpoint().clone();
-    let busy = std::thread::spawn(move || {
-        let mut c = Client::connect(&endpoint, Duration::from_secs(5)).expect("connect");
-        let opts = RequestOptions {
-            verify: true,
-            absint: true,
-            ..RequestOptions::default()
-        };
-        c.compile(&slow, opts).expect("slow compile")
+    let busy = std::thread::spawn({
+        let stop_busy = Arc::clone(&stop_busy);
+        move || {
+            let mut c = Client::connect(&endpoint, Duration::from_secs(5)).expect("connect");
+            let opts = RequestOptions {
+                verify: true,
+                absint: true,
+                ..RequestOptions::default()
+            };
+            let mut compiled = 0u32;
+            for round in 0.. {
+                if stop_busy.load(Ordering::Relaxed) {
+                    break;
+                }
+                let slow = module(&format!("slow{round}"), 3, 80);
+                match c.compile(&slow, opts).expect("slow compile") {
+                    Response::Compiled { .. } => compiled += 1,
+                    // The probe got in between two of ours.
+                    Response::Overloaded { .. } => {}
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            compiled
+        }
     });
 
-    // Wait until the worker is demonstrably busy...
+    // Probe until a compile is refused, not queued. (A probe that slips
+    // into the gap between two slow compiles is admitted and answered;
+    // the next one finds the worker busy again.)
     let mut control = connect(&daemon);
-    loop {
-        match control.health().expect("health") {
-            Response::Health { info, .. } if info.active >= 1 => break,
-            Response::Health { .. } => std::thread::sleep(Duration::from_millis(1)),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    // ...then the next compile must be refused, not queued.
     let tiny = module("tiny", 1, 8);
-    match control
-        .compile(&tiny, RequestOptions::default())
-        .expect("reply")
-    {
-        Response::Overloaded {
-            active,
-            queued,
-            limit,
-            ..
-        } => {
-            assert_eq!(active, 1);
-            assert_eq!(queued, 0);
-            assert_eq!(limit, 0);
+    let deadline = Instant::now() + PATIENCE;
+    loop {
+        match control
+            .compile(&tiny, RequestOptions::default())
+            .expect("reply")
+        {
+            Response::Overloaded {
+                active,
+                queued,
+                limit,
+                ..
+            } => {
+                assert_eq!(active, 1);
+                assert_eq!(queued, 0);
+                assert_eq!(limit, 0);
+                break;
+            }
+            Response::Compiled { .. } => assert!(
+                Instant::now() < deadline,
+                "a saturated daemon never answered overloaded"
+            ),
+            other => panic!("expected overloaded, got {other:?}"),
         }
-        other => panic!("expected overloaded, got {other:?}"),
     }
 
-    assert!(matches!(
-        busy.join().expect("busy thread"),
-        Response::Compiled { .. }
-    ));
+    stop_busy.store(true, Ordering::Relaxed);
+    assert!(
+        join_within(busy, "busy client") > 0,
+        "the worker was kept busy"
+    );
     // With the worker free again the same request succeeds.
     assert!(matches!(
         control

@@ -279,8 +279,9 @@ fn unix_socket_lifecycle_unlinks_on_shutdown() {
     assert!(!sock.exists(), "socket file must be unlinked on shutdown");
 }
 
-#[test]
-fn requests_land_on_service_spans() {
+/// Compiles a two-function module on a tracing daemon with `jobs`
+/// workers and returns the trace plus the request's `service` span.
+fn traced_request(jobs: u64) -> (warp_obs::TraceSnapshot, warp_obs::SpanRecord) {
     let mut config = tcp_config();
     config.trace = true;
     let daemon = Warpd::start(config).expect("start");
@@ -288,7 +289,7 @@ fn requests_land_on_service_spans() {
 
     let source = module("traced", 2, 12);
     let (queue_ns, compile_ns) = match client
-        .compile(&source, RequestOptions::default())
+        .compile_jobs(&source, RequestOptions::default(), jobs)
         .expect("compile")
     {
         Response::Compiled {
@@ -310,20 +311,54 @@ fn requests_land_on_service_spans() {
         1,
         "one service request span per compile"
     );
-    let span = request_spans[0];
+    let span = request_spans[0].clone();
     assert_eq!(span.arg("compile_ns"), Some(compile_ns as f64));
     assert_eq!(span.arg("queue_ns"), Some(queue_ns as f64));
     assert_eq!(span.arg("cache_misses"), Some(2.0));
-    // The compile's own spans share the request's track, so the
-    // per-request latency decomposes in the same trace row.
-    assert!(
-        snap.spans_in("cache").any(|s| s.track == span.track),
-        "cache spans must land on the request's track"
-    );
 
     // The whole thing exports as a valid Chrome trace.
     let json = warp_obs::chrome::to_chrome_json(&snap);
     warp_obs::chrome::validate_chrome_json(&json).expect("valid chrome trace");
     daemon.stop();
     daemon.join();
+    (snap, span)
+}
+
+#[test]
+fn requests_land_on_service_spans() {
+    // `jobs = 1`: the compile's own spans — driver, worker, cache — all
+    // share the request's track, so the per-request latency decomposes
+    // in one trace row.
+    let (snap, request) = traced_request(1);
+    for cat in ["driver", "worker", "cache"] {
+        let mut spans = snap.spans_in(cat).peekable();
+        assert!(spans.peek().is_some(), "no {cat} spans");
+        assert!(
+            spans.all(|s| s.track == request.track),
+            "{cat} spans must land on the request's track"
+        );
+    }
+}
+
+#[test]
+fn parallel_request_keeps_driver_spans_and_shares_worker_rows() {
+    // `jobs >= 2`: the driver spans stay on the request's track; the
+    // function compiles (and their cache probes, taken under the
+    // dedup lease) land on the shared `worker N` tracks.
+    let (snap, request) = traced_request(2);
+    let mut driver = snap.spans_in("driver").peekable();
+    assert!(driver.peek().is_some(), "no driver spans");
+    assert!(driver.all(|s| s.track == request.track));
+    for cat in ["worker", "cache"] {
+        let mut spans = snap.spans_in(cat).peekable();
+        assert!(spans.peek().is_some(), "no {cat} spans");
+        for s in spans {
+            let track = snap.track_name(s.track);
+            assert!(
+                track.starts_with("worker "),
+                "{cat} span `{}` on track `{track}`",
+                s.name
+            );
+        }
+    }
 }

@@ -55,7 +55,10 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one frame: 4-byte little-endian length, then the payload.
+/// Writes one frame: 4-byte little-endian length, then the payload —
+/// as **one** write, so a frame costs one syscall and a TCP peer never
+/// sees the write-write-read pattern that Nagle plus delayed ACK turns
+/// into a stall.
 ///
 /// # Errors
 ///
@@ -63,8 +66,10 @@ impl From<io::Error> for FrameError {
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame over 4 GiB"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -220,6 +225,23 @@ mod tests {
             read_frame(&mut r, 1024, || true),
             Err(FrameError::Closed)
         ));
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        struct CountingWriter(usize);
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter(0);
+        write_frame(&mut w, &[7u8; 4096]).unwrap();
+        assert_eq!(w.0, 1, "length prefix and payload travel together");
     }
 
     #[test]
