@@ -82,15 +82,20 @@ impl Client {
     ///
     /// Transport failures or a malformed/mismatched response.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_message(&mut self.stream, &req.to_json())?;
-        let json = self.read_json()?;
-        let resp = Response::from_json(&json).map_err(ClientError::Protocol)?;
+        self.call_owned(req.clone())
+    }
+
+    /// [`Client::call`] by value: the request's `module` is moved into
+    /// the frame and the response's `image_hex` out of it.
+    fn call_owned(&mut self, req: Request) -> Result<Response, ClientError> {
+        let id = req.id();
+        write_message(&mut self.stream, &req.into_json())?;
+        let resp = self.recv()?;
         // Error frames for unreadable requests carry id 0.
-        if resp.id() != req.id() && resp.id() != 0 {
+        if resp.id() != id && resp.id() != 0 {
             return Err(ClientError::Protocol(format!(
-                "response id {} does not match request id {}",
-                resp.id(),
-                req.id()
+                "response id {} does not match request id {id}",
+                resp.id()
             )));
         }
         Ok(resp)
@@ -104,8 +109,7 @@ impl Client {
     /// Transport failures or an unparsable response.
     pub fn call_raw(&mut self, payload: &Json) -> Result<Response, ClientError> {
         write_message(&mut self.stream, payload)?;
-        let json = self.read_json()?;
-        Response::from_json(&json).map_err(ClientError::Protocol)
+        self.recv()
     }
 
     /// Writes raw bytes as a frame without awaiting a reply (protocol
@@ -127,7 +131,7 @@ impl Client {
     /// Transport failures or an unparsable response.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
         let json = self.read_json()?;
-        Response::from_json(&json).map_err(ClientError::Protocol)
+        Response::from_json_owned(json).map_err(ClientError::Protocol)
     }
 
     /// Reads one frame and parses it as JSON.
@@ -175,7 +179,7 @@ impl Client {
         jobs: u64,
     ) -> Result<Response, ClientError> {
         let id = self.fresh_id();
-        self.call(&Request::Compile {
+        self.call_owned(Request::Compile {
             id,
             module: module.to_string(),
             options,
@@ -193,7 +197,7 @@ impl Client {
         options: crate::proto::RequestOptions,
     ) -> Result<Response, ClientError> {
         let id = self.fresh_id();
-        self.call(&Request::Fingerprint { id, options })
+        self.call_owned(Request::Fingerprint { id, options })
     }
 
     /// Fetches the shared cache counters.
@@ -203,7 +207,7 @@ impl Client {
     /// Transport or protocol failures.
     pub fn cache_stats(&mut self) -> Result<Response, ClientError> {
         let id = self.fresh_id();
-        self.call(&Request::CacheStats { id })
+        self.call_owned(Request::CacheStats { id })
     }
 
     /// Probes daemon health.
@@ -213,7 +217,7 @@ impl Client {
     /// Transport or protocol failures.
     pub fn health(&mut self) -> Result<Response, ClientError> {
         let id = self.fresh_id();
-        self.call(&Request::Health { id })
+        self.call_owned(Request::Health { id })
     }
 
     /// Asks the daemon to stop admitting compile requests.
@@ -223,7 +227,7 @@ impl Client {
     /// Transport or protocol failures.
     pub fn drain(&mut self) -> Result<Response, ClientError> {
         let id = self.fresh_id();
-        self.call(&Request::Drain { id })
+        self.call_owned(Request::Drain { id })
     }
 
     /// Asks the daemon to terminate.
@@ -233,6 +237,6 @@ impl Client {
     /// Transport or protocol failures.
     pub fn shutdown(&mut self) -> Result<Response, ClientError> {
         let id = self.fresh_id();
-        self.call(&Request::Shutdown { id })
+        self.call_owned(Request::Shutdown { id })
     }
 }

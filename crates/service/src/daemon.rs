@@ -573,7 +573,7 @@ fn handle_conn(shared: &Shared, mut conn: Conn, conn_id: u64) {
                     code: ErrorCode::FrameTooLarge,
                     message: format!("frame of {declared} bytes exceeds the {limit}-byte limit"),
                 };
-                let _ = write_message(&mut conn, &resp.to_json());
+                let _ = write_message(&mut conn, &resp.into_json());
                 return;
             }
             Err(FrameError::Closed) | Err(FrameError::Io(_)) => return,
@@ -587,7 +587,7 @@ fn handle_conn(shared: &Shared, mut conn: Conn, conn_id: u64) {
                     message: detail,
                 }
             }
-            Ok(json) => match Request::from_json(&json) {
+            Ok(json) => match Request::from_json_owned(json) {
                 Err((id, code, message)) => {
                     shared.requests.fetch_add(1, Ordering::Relaxed);
                     Response::Error { id, code, message }
@@ -596,7 +596,7 @@ fn handle_conn(shared: &Shared, mut conn: Conn, conn_id: u64) {
             },
         };
         let bye = matches!(resp, Response::Bye { .. });
-        if write_message(&mut conn, &resp.to_json()).is_err() || bye {
+        if write_message(&mut conn, &resp.into_json()).is_err() || bye {
             return;
         }
     }

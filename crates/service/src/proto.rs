@@ -196,6 +196,12 @@ impl Request {
 
     /// Serializes to the wire JSON.
     pub fn to_json(&self) -> Json {
+        self.clone().into_json()
+    }
+
+    /// [`Request::to_json`] by value: `module` is moved into the JSON,
+    /// not copied.
+    pub(crate) fn into_json(self) -> Json {
         let (kind, mut fields) = match self {
             Request::Compile {
                 id,
@@ -205,23 +211,20 @@ impl Request {
             } => (
                 "compile",
                 vec![
-                    ("id", Json::Num(*id as f64)),
-                    ("module", Json::Str(module.clone())),
+                    ("id", Json::Num(id as f64)),
+                    ("module", Json::Str(module)),
                     ("options", options.to_json()),
-                    ("jobs", Json::Num(*jobs as f64)),
+                    ("jobs", Json::Num(jobs as f64)),
                 ],
             ),
             Request::Fingerprint { id, options } => (
                 "fingerprint",
-                vec![
-                    ("id", Json::Num(*id as f64)),
-                    ("options", options.to_json()),
-                ],
+                vec![("id", Json::Num(id as f64)), ("options", options.to_json())],
             ),
-            Request::CacheStats { id } => ("cache_stats", vec![("id", Json::Num(*id as f64))]),
-            Request::Health { id } => ("health", vec![("id", Json::Num(*id as f64))]),
-            Request::Drain { id } => ("drain", vec![("id", Json::Num(*id as f64))]),
-            Request::Shutdown { id } => ("shutdown", vec![("id", Json::Num(*id as f64))]),
+            Request::CacheStats { id } => ("cache_stats", vec![("id", Json::Num(id as f64))]),
+            Request::Health { id } => ("health", vec![("id", Json::Num(id as f64))]),
+            Request::Drain { id } => ("drain", vec![("id", Json::Num(id as f64))]),
+            Request::Shutdown { id } => ("shutdown", vec![("id", Json::Num(id as f64))]),
         };
         fields.push(("kind", Json::Str(kind.to_string())));
         obj(fields)
@@ -236,6 +239,12 @@ impl Request {
     /// [`ErrorCode::BadRequest`] for shape violations,
     /// [`ErrorCode::UnknownKind`] for an unrecognized `kind`.
     pub fn from_json(v: &Json) -> Result<Request, (u64, ErrorCode, String)> {
+        Request::from_json_owned(v.clone())
+    }
+
+    /// [`Request::from_json`] by value: `module` is moved out of the
+    /// JSON, not copied.
+    pub(crate) fn from_json_owned(mut v: Json) -> Result<Request, (u64, ErrorCode, String)> {
         let id = v.u64_field("id").unwrap_or(0);
         let bad = |msg: &str| (id, ErrorCode::BadRequest, msg.to_string());
         if !matches!(v, Json::Obj(_)) {
@@ -245,16 +254,16 @@ impl Request {
             return Err(bad("missing or non-integer `id`"));
         }
         let kind = v
-            .str_field("kind")
+            .take_str("kind")
             .ok_or_else(|| bad("missing string `kind`"))?;
-        let options = || {
+        let options = |v: &Json| {
             RequestOptions::from_json(v.get("options"))
                 .ok_or_else(|| bad("`options` must be an object of booleans"))
         };
-        match kind {
+        match kind.as_str() {
             "compile" => {
                 let module = v
-                    .str_field("module")
+                    .take_str("module")
                     .ok_or_else(|| bad("compile needs a string `module`"))?;
                 // Absent (old clients) decodes as 0 = daemon default.
                 let jobs = match v.get("jobs") {
@@ -265,14 +274,14 @@ impl Request {
                 };
                 Ok(Request::Compile {
                     id,
-                    module: module.to_string(),
-                    options: options()?,
+                    module,
+                    options: options(&v)?,
                     jobs,
                 })
             }
             "fingerprint" => Ok(Request::Fingerprint {
                 id,
-                options: options()?,
+                options: options(&v)?,
             }),
             "cache_stats" => Ok(Request::CacheStats { id }),
             "health" => Ok(Request::Health { id }),
@@ -418,6 +427,12 @@ impl Response {
 
     /// Serializes to the wire JSON.
     pub fn to_json(&self) -> Json {
+        self.clone().into_json()
+    }
+
+    /// [`Response::to_json`] by value: `image_hex` is moved into the
+    /// JSON, not copied.
+    pub(crate) fn into_json(self) -> Json {
         let num = |v: u64| Json::Num(v as f64);
         match self {
             Response::Compiled {
@@ -430,23 +445,23 @@ impl Response {
                 queue_ns,
                 compile_ns,
             } => obj(vec![
-                ("id", num(*id)),
+                ("id", num(id)),
                 ("kind", Json::Str("compiled".into())),
-                ("image_hex", Json::Str(image_hex.clone())),
-                ("functions", num(*functions)),
-                ("warnings", num(*warnings)),
-                ("cache_hits", num(*cache_hits)),
-                ("cache_misses", num(*cache_misses)),
-                ("queue_ns", num(*queue_ns)),
-                ("compile_ns", num(*compile_ns)),
+                ("image_hex", Json::Str(image_hex)),
+                ("functions", num(functions)),
+                ("warnings", num(warnings)),
+                ("cache_hits", num(cache_hits)),
+                ("cache_misses", num(cache_misses)),
+                ("queue_ns", num(queue_ns)),
+                ("compile_ns", num(compile_ns)),
             ]),
             Response::Fingerprint { id, fingerprint } => obj(vec![
-                ("id", num(*id)),
+                ("id", num(id)),
                 ("kind", Json::Str("fingerprint".into())),
-                ("fingerprint", Json::Str(fingerprint.clone())),
+                ("fingerprint", Json::Str(fingerprint)),
             ]),
             Response::CacheStats { id, stats } => obj(vec![
-                ("id", num(*id)),
+                ("id", num(id)),
                 ("kind", Json::Str("cache_stats".into())),
                 ("memory_hits", num(stats.memory_hits)),
                 ("disk_hits", num(stats.disk_hits)),
@@ -456,9 +471,9 @@ impl Response {
                 ("resident", num(stats.resident)),
             ]),
             Response::Health { id, info } => obj(vec![
-                ("id", num(*id)),
+                ("id", num(id)),
                 ("kind", Json::Str("health".into())),
-                ("status", Json::Str(info.status.clone())),
+                ("status", Json::Str(info.status)),
                 ("protocol", num(u64::from(info.protocol))),
                 ("uptime_ms", num(info.uptime_ms)),
                 ("requests", num(info.requests)),
@@ -466,27 +481,27 @@ impl Response {
                 ("queued", num(info.queued)),
             ]),
             Response::Draining { id } => obj(vec![
-                ("id", num(*id)),
+                ("id", num(id)),
                 ("kind", Json::Str("draining".into())),
             ]),
-            Response::Bye { id } => obj(vec![("id", num(*id)), ("kind", Json::Str("bye".into()))]),
+            Response::Bye { id } => obj(vec![("id", num(id)), ("kind", Json::Str("bye".into()))]),
             Response::Overloaded {
                 id,
                 active,
                 queued,
                 limit,
             } => obj(vec![
-                ("id", num(*id)),
+                ("id", num(id)),
                 ("kind", Json::Str("overloaded".into())),
-                ("active", num(*active)),
-                ("queued", num(*queued)),
-                ("limit", num(*limit)),
+                ("active", num(active)),
+                ("queued", num(queued)),
+                ("limit", num(limit)),
             ]),
             Response::Error { id, code, message } => obj(vec![
-                ("id", num(*id)),
+                ("id", num(id)),
                 ("kind", Json::Str("error".into())),
                 ("code", Json::Str(code.as_str().into())),
-                ("message", Json::Str(message.clone())),
+                ("message", Json::Str(message)),
             ]),
         }
     }
@@ -497,70 +512,70 @@ impl Response {
     ///
     /// A human-readable description of the shape violation.
     pub fn from_json(v: &Json) -> Result<Response, String> {
+        Response::from_json_owned(v.clone())
+    }
+
+    /// [`Response::from_json`] by value: `image_hex` is moved out of
+    /// the JSON, not copied.
+    pub(crate) fn from_json_owned(mut v: Json) -> Result<Response, String> {
         let id = v.u64_field("id").ok_or("response missing `id`")?;
-        let kind = v.str_field("kind").ok_or("response missing `kind`")?;
-        let field = |key: &str| {
-            v.u64_field(key)
-                .ok_or_else(|| format!("`{kind}` response missing `{key}`"))
-        };
-        let strf = |key: &str| {
-            v.str_field(key)
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{kind}` response missing `{key}`"))
-        };
-        Ok(match kind {
+        let kind = v.take_str("kind").ok_or("response missing `kind`")?;
+        let missing = |key: &str| format!("`{kind}` response missing `{key}`");
+        let field = |v: &Json, key: &str| v.u64_field(key).ok_or_else(|| missing(key));
+        let strf = |v: &mut Json, key: &str| v.take_str(key).ok_or_else(|| missing(key));
+        Ok(match kind.as_str() {
             "compiled" => Response::Compiled {
                 id,
-                image_hex: strf("image_hex")?,
-                functions: field("functions")?,
-                warnings: field("warnings")?,
-                cache_hits: field("cache_hits")?,
-                cache_misses: field("cache_misses")?,
-                queue_ns: field("queue_ns")?,
-                compile_ns: field("compile_ns")?,
+                image_hex: strf(&mut v, "image_hex")?,
+                functions: field(&v, "functions")?,
+                warnings: field(&v, "warnings")?,
+                cache_hits: field(&v, "cache_hits")?,
+                cache_misses: field(&v, "cache_misses")?,
+                queue_ns: field(&v, "queue_ns")?,
+                compile_ns: field(&v, "compile_ns")?,
             },
             "fingerprint" => Response::Fingerprint {
                 id,
-                fingerprint: strf("fingerprint")?,
+                fingerprint: strf(&mut v, "fingerprint")?,
             },
             "cache_stats" => Response::CacheStats {
                 id,
                 stats: WireCacheStats {
-                    memory_hits: field("memory_hits")?,
-                    disk_hits: field("disk_hits")?,
-                    misses: field("misses")?,
-                    stores: field("stores")?,
-                    errors: field("errors")?,
-                    resident: field("resident")?,
+                    memory_hits: field(&v, "memory_hits")?,
+                    disk_hits: field(&v, "disk_hits")?,
+                    misses: field(&v, "misses")?,
+                    stores: field(&v, "stores")?,
+                    errors: field(&v, "errors")?,
+                    resident: field(&v, "resident")?,
                 },
             },
             "health" => Response::Health {
                 id,
                 info: HealthInfo {
-                    status: strf("status")?,
-                    protocol: u32::try_from(field("protocol")?)
+                    status: strf(&mut v, "status")?,
+                    protocol: u32::try_from(field(&v, "protocol")?)
                         .map_err(|_| "protocol out of range".to_string())?,
-                    uptime_ms: field("uptime_ms")?,
-                    requests: field("requests")?,
-                    active: field("active")?,
-                    queued: field("queued")?,
+                    uptime_ms: field(&v, "uptime_ms")?,
+                    requests: field(&v, "requests")?,
+                    active: field(&v, "active")?,
+                    queued: field(&v, "queued")?,
                 },
             },
             "draining" => Response::Draining { id },
             "bye" => Response::Bye { id },
             "overloaded" => Response::Overloaded {
                 id,
-                active: field("active")?,
-                queued: field("queued")?,
-                limit: field("limit")?,
+                active: field(&v, "active")?,
+                queued: field(&v, "queued")?,
+                limit: field(&v, "limit")?,
             },
             "error" => {
-                let code = strf("code")?;
+                let code = strf(&mut v, "code")?;
                 Response::Error {
                     id,
                     code: ErrorCode::parse(&code)
                         .ok_or_else(|| format!("unknown error code `{code}`"))?,
-                    message: strf("message")?,
+                    message: strf(&mut v, "message")?,
                 }
             }
             other => return Err(format!("unknown response kind `{other}`")),
@@ -663,6 +678,65 @@ mod tests {
                 .expect("parse");
             assert_eq!(back, resp);
         }
+    }
+
+    /// "Wire bytes unchanged" as a check: these frames were captured
+    /// from the per-character writer this protocol shipped with.
+    #[test]
+    fn frames_are_byte_for_byte_what_version_1_has_always_sent() {
+        let framed = |msg: &Json| {
+            let mut frame = Vec::new();
+            write_message(&mut frame, msg).unwrap();
+            frame
+        };
+        let golden = |payload: &str| {
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(payload.as_bytes());
+            frame
+        };
+
+        let resp = Response::Compiled {
+            id: 7,
+            image_hex: "57324d4f44a0b1ff".into(),
+            functions: 4,
+            warnings: 1,
+            cache_hits: 3,
+            cache_misses: 1,
+            queue_ns: 2_100,
+            compile_ns: 13_188_000,
+        };
+        let payload = concat!(
+            r#"{"cache_hits":3,"cache_misses":1,"compile_ns":13188000,"functions":4,"id":7,"#,
+            r#""image_hex":"57324d4f44a0b1ff","kind":"compiled","queue_ns":2100,"warnings":1}"#,
+        );
+        assert_eq!(payload.len(), 154);
+        assert_eq!(framed(&resp.to_json()), golden(payload));
+        assert_eq!(framed(&resp.clone().into_json()), golden(payload));
+        assert_eq!(framed(&resp.to_json())[..4], [154, 0, 0, 0]);
+
+        let req = Request::Compile {
+            id: 3,
+            module: "module m;\nsection \"s\" on cells 0..1;\n\tx := a\\b; { é }\nend;\n".into(),
+            options: RequestOptions {
+                inline: true,
+                absint: true,
+                ..RequestOptions::default()
+            },
+            jobs: 4,
+        };
+        let payload = concat!(
+            r#"{"id":3,"jobs":4,"kind":"compile","#,
+            r#""module":"module m;\nsection \"s\" on cells 0..1;\n\tx := a\\b; { é }\nend;\n","#,
+            r#""options":{"absint":true,"ifconv":false,"inline":true,"verify":false}}"#,
+        );
+        assert_eq!(payload.len(), 184);
+        assert_eq!(framed(&req.to_json()), golden(payload));
+        assert_eq!(framed(&req.clone().into_json()), golden(payload));
+
+        // And back, by reference and by value.
+        let parsed = crate::json::parse(payload).unwrap();
+        assert_eq!(Request::from_json(&parsed).unwrap(), req);
+        assert_eq!(Request::from_json_owned(parsed).unwrap(), req);
     }
 
     #[test]

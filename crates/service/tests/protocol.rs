@@ -110,6 +110,33 @@ fn truncated_frame_drops_connection_but_not_daemon() {
 }
 
 #[test]
+fn hostile_nesting_gets_bad_json_and_the_connection_lives() {
+    let daemon = Warpd::start(tcp_config()).expect("start");
+    let mut client = connect(&daemon);
+
+    // 200 KB of `[`: a parser that recurses per level overflows the
+    // connection thread's stack, and a stack overflow aborts the whole
+    // daemon. The limit (32 levels, SERVICE.md) makes it `bad-json`.
+    let payload = vec![b'['; 200_000];
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    client.send_bytes(&frame).expect("send");
+    match client.recv().expect("reply") {
+        Response::Error { id, code, message } => {
+            assert_eq!((id, code), (0, ErrorCode::BadJson));
+            assert!(message.contains("32 levels"), "names the limit: {message}");
+        }
+        other => panic!("expected bad-json, got {other:?}"),
+    }
+    // The frame boundary was intact: same connection, next request.
+    assert!(matches!(
+        client.health().expect("health on the same connection"),
+        Response::Health { .. }
+    ));
+    stop(daemon);
+}
+
+#[test]
 fn unknown_kind_and_bad_shapes_get_stable_codes() {
     let daemon = Warpd::start(tcp_config()).expect("start");
     let mut client = connect(&daemon);

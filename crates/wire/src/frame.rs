@@ -6,8 +6,14 @@
 //! receiver's limit poisons the connection — the receiver answers once
 //! (if its protocol has an answer) and closes, because the oversized
 //! payload is still in the pipe.
+//!
+//! A message costs what its bytes cost: [`write_message`] serialises
+//! into the buffer it writes (one buffer, one `write`), and the hex
+//! codecs are table lookups with one allocation each
+//! (`tests/alloc_budget.rs` counts them).
 
 use crate::json::{parse, Json};
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
 /// Default maximum frame payload size (16 MiB) — generous for module
@@ -64,11 +70,18 @@ impl From<io::Error> for FrameError {
 ///
 /// Propagates the underlying I/O error.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame over 4 GiB"))?;
     let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(&[0; 4]);
     frame.extend_from_slice(payload);
+    send(w, frame)
+}
+
+/// Fills in the length prefix that `frame` reserved as its first four
+/// bytes and writes the whole frame at once.
+fn send(w: &mut impl Write, mut frame: Vec<u8>) -> io::Result<()> {
+    let len = u32::try_from(frame.len() - 4)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame over 4 GiB"))?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
     w.write_all(&frame)?;
     w.flush()
 }
@@ -147,13 +160,28 @@ fn read_exact_retry(
     Ok(())
 }
 
-/// Writes `msg` as one JSON frame.
+/// A frame under construction: the text `Json`'s writer produces goes
+/// straight behind the reserved length prefix.
+struct FrameText(Vec<u8>);
+
+impl std::fmt::Write for FrameText {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Writes `msg` as one JSON frame, serialised into the buffer that is
+/// written: no intermediate string, no second copy.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_message(w: &mut impl Write, msg: &Json) -> io::Result<()> {
-    write_frame(w, msg.to_string().as_bytes())
+    let mut frame = FrameText(Vec::with_capacity(256));
+    frame.0.extend_from_slice(&[0; 4]);
+    write!(frame, "{msg}").expect("writing to a Vec cannot fail");
+    send(w, frame.0)
 }
 
 /// Reads one frame and parses it as JSON. A payload that is not valid
@@ -176,13 +204,39 @@ pub fn read_message(
     Ok(parse(text).map_err(|e| e.to_string()))
 }
 
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// The two lowercase hex digits of every byte.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let mut table = [[0; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = [HEX_DIGITS[b >> 4], HEX_DIGITS[b & 15]];
+        b += 1;
+    }
+    table
+};
+
+/// The value of every byte as a hex digit of either case; 0xff for
+/// bytes that are not one.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut v = 0;
+    while v < 16 {
+        table[HEX_DIGITS[v] as usize] = v as u8;
+        table[HEX_DIGITS[v].to_ascii_uppercase() as usize] = v as u8;
+        v += 1;
+    }
+    table
+};
+
 /// Hex-encodes bytes (lowercase).
 pub fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    let mut hex = vec![0; bytes.len() * 2];
+    for (pair, &b) in hex.chunks_exact_mut(2).zip(bytes) {
+        pair.copy_from_slice(&HEX_PAIRS[usize::from(b)]);
     }
-    s
+    String::from_utf8(hex).expect("hex digits are ASCII")
 }
 
 /// Decodes a lowercase/uppercase hex string.
@@ -194,18 +248,27 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
     if !s.len().is_multiple_of(2) {
         return Err("odd-length hex string".to_string());
     }
-    let digit = |c: u8| -> Result<u8, String> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            b'A'..=b'F' => Ok(c - b'A' + 10),
-            _ => Err(format!("bad hex digit `{}`", c as char)),
-        }
-    };
-    s.as_bytes()
-        .chunks(2)
-        .map(|pair| Ok(digit(pair[0])? << 4 | digit(pair[1])?))
-        .collect()
+    // Decode without a branch per digit; a bad digit leaves a bit
+    // above the low four in `seen` and is looked for afterwards.
+    let mut seen = 0;
+    let bytes: Vec<u8> = s
+        .as_bytes()
+        .chunks_exact(2)
+        .map(|pair| {
+            let (hi, lo) = (
+                HEX_VALUES[usize::from(pair[0])],
+                HEX_VALUES[usize::from(pair[1])],
+            );
+            seen |= hi | lo;
+            hi << 4 | lo
+        })
+        .collect();
+    if seen > 15 {
+        let bad = s.bytes().find(|&c| HEX_VALUES[usize::from(c)] > 15);
+        let bad = bad.expect("`seen` has a bit only a bad digit sets");
+        return Err(format!("bad hex digit `{}`", bad as char));
+    }
+    Ok(bytes)
 }
 
 #[cfg(test)]

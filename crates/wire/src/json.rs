@@ -5,7 +5,15 @@
 //! deterministically rather than guess. This module implements exactly
 //! the JSON subset the protocol uses — objects, arrays, strings with
 //! escapes, finite numbers, booleans, null — with no extensions, and a
-//! writer whose output round-trips through the parser.
+//! writer whose output round-trips through the parser. Both sides cost
+//! what the bytes cost: the writer copies each run of characters that
+//! need no escape in one piece, the parser takes a string up to its
+//! next quote, backslash or control byte the same way (`plain_run`
+//! serves both), and neither allocates per character.
+//!
+//! Input is hostile until parsed: arrays and objects may nest at most
+//! 32 deep (the protocols nest 2 deep), so a frame of `[[[[…` is a
+//! [`JsonError`], not a stack overflow.
 //!
 //! Numbers are `f64`. Every integer the protocol carries (ids, counts,
 //! nanosecond latencies) is well below 2^53, so the round-trip is
@@ -76,6 +84,19 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Removes field `key` and returns it if it was a string: the
+    /// by-value [`Json::str_field`], for decoders that own the value
+    /// and must not copy a module source or an image.
+    pub fn take_str(&mut self, key: &str) -> Option<String> {
+        match self {
+            Json::Obj(map) => match map.remove(key)? {
+                Json::Str(s) => Some(s),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
 }
 
 /// Builds an object from key/value pairs (a tidy literal syntax for
@@ -127,20 +148,47 @@ impl fmt::Display for Json {
     }
 }
 
+/// Length of the leading run of `bytes` that a JSON string carries as
+/// is: everything up to the first `"`, `\` or control byte. Eight
+/// bytes at a time (the word tests are the classic has-zero-byte and
+/// has-byte-below tricks, exact per word), then byte by byte.
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::MAX / 255;
+    const HIGH: u64 = ONES * 0x80;
+    let zero_byte = |w: u64| w.wrapping_sub(ONES) & !w & HIGH;
+    let mut run = 0;
+    for chunk in bytes.chunks_exact(8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("chunks of 8"));
+        let control = w.wrapping_sub(ONES * 0x20) & !w & HIGH;
+        if control | zero_byte(w ^ (ONES * 0x22)) | zero_byte(w ^ (ONES * 0x5c)) != 0 {
+            break;
+        }
+        run += 8;
+    }
+    let plain = |&&c: &&u8| c >= 0x20 && c != b'"' && c != b'\\';
+    run + bytes[run..].iter().take_while(plain).count()
+}
+
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
+    let mut rest = s;
+    loop {
+        // Runs end on an ASCII byte, so on a char boundary.
+        let (run, tail) = rest.split_at(plain_run(rest.as_bytes()));
+        f.write_str(run)?;
+        let Some(&c) = tail.as_bytes().first() else {
+            return f.write_str("\"");
+        };
         match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            c => write!(f, "\\u{c:04x}")?,
         }
+        rest = &tail[1..];
     }
-    f.write_str("\"")
 }
 
 /// A parse failure: byte offset and message.
@@ -168,20 +216,28 @@ impl std::error::Error for JsonError {}
 /// Returns [`JsonError`] with the failing byte offset on malformed
 /// input.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(p.err("trailing data after document"));
     }
     Ok(v)
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts.
+const MAX_NESTING: usize = 32;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -193,7 +249,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -212,7 +268,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -222,8 +278,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -232,6 +288,22 @@ impl Parser<'_> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// The parser recurses once per level, and the input chooses the
+    /// depth: without a limit a frame of `[[[[…` overflows the stack of
+    /// whichever thread reads it, which aborts the process.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -289,6 +361,13 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // The whole run of unescaped bytes at once: a module source
+            // or an image is one large string, and an escape-free one is
+            // one sweep to its closing quote and one copy. The run ends
+            // at an ASCII delimiter, so on a char boundary of `text`.
+            let run = plain_run(&self.text.as_bytes()[self.pos..]);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -308,7 +387,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
@@ -326,25 +406,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Consume the whole run of unescaped bytes at once
-                    // (module sources arrive as one large string; a
-                    // per-character loop would be quadratic). The run
-                    // ends at an ASCII delimiter, so its boundaries are
-                    // char boundaries of the (valid UTF-8) input.
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'"' || c == b'\\' || c < 0x20 {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("input is a str and runs end on ASCII"),
-                    );
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -372,7 +434,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         let n: f64 = text.parse().map_err(|_| self.err("bad number"))?;
         if !n.is_finite() {
             return Err(self.err("non-finite number"));
@@ -416,6 +478,33 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_not_recursed_into() {
+        let nest = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_NESTING)).is_ok());
+        let objects = "{\"a\":".repeat(MAX_NESTING) + "1" + &"}".repeat(MAX_NESTING);
+        assert!(parse(&objects).is_ok());
+        // One level more is an error that names the limit, at the
+        // bracket that exceeds it.
+        let err = parse(&nest(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(
+            (err.at, err.message.as_str()),
+            (32, "nesting deeper than 32 levels")
+        );
+        // The hostile frame: 200 KB of `[`. Unlimited, this recursion
+        // overflows the reading thread's stack and aborts the process.
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad JSON at byte 32: nesting deeper than 32 levels"
+        );
+        let mixed = "[{\"k\":".repeat(100_000);
+        assert!(parse(&mixed).unwrap_err().message.contains("32 levels"));
+        // Siblings do not add up: depth is what is open, not what was.
+        let wide = format!("[{}[]]", "[[]],".repeat(1000));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]
