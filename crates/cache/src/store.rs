@@ -136,8 +136,8 @@ impl<V: CacheValue> Cache<V> {
     /// A fresh in-memory cache seeded with a copy of this cache's
     /// in-memory entries, with zeroed counters and no disk tier.
     /// Useful for replaying a rebuild against a fixed prior state (the
-    /// incremental-compilation benches fork a primed cache per
-    /// scenario so stores during one run cannot leak into the next).
+    /// cache-invalidation tests fork a primed cache per scenario so
+    /// stores during one run cannot leak into the next).
     pub fn fork_memory(&self) -> Cache<V> {
         Cache {
             map: Mutex::new(self.map.lock().expect("cache lock").clone()),

@@ -933,55 +933,3 @@ mod tests {
         }
     }
 }
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-    use warp_workload::{synthetic_program, user_program, FunctionSize};
-
-    /// Not a test: prints calibration data (work units and real wall
-    /// time per size). Run with `cargo test -p parcc --release probe
-    /// -- --ignored --nocapture`.
-    #[test]
-    #[ignore = "calibration probe, run manually"]
-    fn probe_work_units() {
-        let opts = CompileOptions::default();
-        for size in FunctionSize::ALL {
-            let src = synthetic_program(size, 1);
-            let t0 = std::time::Instant::now();
-            let r = compile_module_source(&src, &opts).expect("compile");
-            let dt = t0.elapsed();
-            let rec = &r.records[0];
-            println!(
-                "{size:>9}: lines={:>3} depth={} parse_u={:>6} p2_u={:>8} p3_u={:>9} total_u={:>9} obj={:>6}B wall={dt:?} (modulo_attempts={} pipelined={} spills={})",
-                rec.lines,
-                rec.loop_depth,
-                rec.parse_units,
-                rec.p2.units(),
-                rec.p3.units(),
-                rec.compile_units(),
-                rec.object_bytes,
-                rec.p3.modulo_attempts,
-                rec.p3.pipelined_loops,
-                rec.p3.spills,
-            );
-        }
-        let src = user_program();
-        let t0 = std::time::Instant::now();
-        let r = compile_module_source(&src, &opts).expect("user program");
-        println!(
-            "user program: total_u={} wall={:?}",
-            r.total_units(),
-            t0.elapsed()
-        );
-        for rec in &r.records {
-            println!(
-                "  {:>14}: lines={:>3} units={:>9} est={:>6}",
-                rec.name,
-                rec.lines,
-                rec.compile_units(),
-                rec.cost_estimate
-            );
-        }
-    }
-}

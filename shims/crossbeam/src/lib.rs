@@ -1,207 +1,9 @@
-//! Offline stand-in for `crossbeam`, covering `channel::bounded` with
-//! blocking and timed receives — the API surface the workspace uses
-//! (the compilation driver's job queue and its fault-detection
-//! timeout) — and `deque`, the Chase-Lev-style work-stealing deque
-//! trio (`Worker` / `Stealer` / `Injector`) the driver's scheduler is
-//! built on. Both are implemented with `Mutex`/`Condvar` primitives
-//! (no unsafe), preserving the upstream API and semantics rather than
-//! the lock-free implementation.
-
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
-
-    struct State<T> {
-        buf: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-    }
-
-    struct Chan<T> {
-        state: Mutex<State<T>>,
-        cap: usize,
-        /// Signalled when the buffer gains an item or loses all receivers.
-        recv_ready: Condvar,
-        /// Signalled when the buffer frees a slot or loses all senders.
-        send_ready: Condvar,
-    }
-
-    /// Error from [`Sender::send`]: every receiver is gone. Carries the
-    /// unsent value, as in crossbeam.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "sending on a disconnected channel")
-        }
-    }
-
-    impl<T: fmt::Debug> std::error::Error for SendError<T> {}
-
-    /// Error from [`Receiver::recv`]: the channel is empty and every
-    /// sender is gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
-    /// Error from [`Receiver::recv_timeout`]: either nothing arrived in
-    /// time, or the channel is empty and every sender is gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// The timeout elapsed with the channel still empty.
-        Timeout,
-        /// Every sender dropped and the buffer is drained.
-        Disconnected,
-    }
-
-    impl RecvTimeoutError {
-        /// `true` for the [`RecvTimeoutError::Timeout`] case.
-        pub fn is_timeout(&self) -> bool {
-            matches!(self, RecvTimeoutError::Timeout)
-        }
-    }
-
-    impl fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                RecvTimeoutError::Timeout => write!(f, "timed out waiting on channel"),
-                RecvTimeoutError::Disconnected => {
-                    write!(f, "receiving on an empty and disconnected channel")
-                }
-            }
-        }
-    }
-
-    impl std::error::Error for RecvTimeoutError {}
-
-    /// The sending half; cloneable for multiple producers.
-    pub struct Sender<T>(Arc<Chan<T>>);
-
-    /// The receiving half; cloneable for multiple consumers.
-    pub struct Receiver<T>(Arc<Chan<T>>);
-
-    /// Creates a bounded channel of capacity `cap`.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let chan = Arc::new(Chan {
-            state: Mutex::new(State {
-                buf: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-            }),
-            cap: cap.max(1),
-            recv_ready: Condvar::new(),
-            send_ready: Condvar::new(),
-        });
-        (Sender(chan.clone()), Receiver(chan))
-    }
-
-    impl<T> Sender<T> {
-        /// Blocks until a slot frees up, then enqueues `value`. Fails if
-        /// all receivers have been dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut st = self.0.state.lock().unwrap();
-            loop {
-                if st.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                if st.buf.len() < self.0.cap {
-                    st.buf.push_back(value);
-                    self.0.recv_ready.notify_one();
-                    return Ok(());
-                }
-                st = self.0.send_ready.wait(st).unwrap();
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until an item arrives. Fails once the channel is empty
-        /// and all senders have been dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut st = self.0.state.lock().unwrap();
-            loop {
-                if let Some(v) = st.buf.pop_front() {
-                    self.0.send_ready.notify_one();
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvError);
-                }
-                st = self.0.recv_ready.wait(st).unwrap();
-            }
-        }
-
-        /// Blocks until an item arrives or `timeout` elapses. Fails with
-        /// [`RecvTimeoutError::Disconnected`] once the channel is empty
-        /// and all senders have been dropped.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut st = self.0.state.lock().unwrap();
-            loop {
-                if let Some(v) = st.buf.pop_front() {
-                    self.0.send_ready.notify_one();
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                let Some(left) = deadline
-                    .checked_duration_since(now)
-                    .filter(|d| !d.is_zero())
-                else {
-                    return Err(RecvTimeoutError::Timeout);
-                };
-                let (guard, _) = self.0.recv_ready.wait_timeout(st, left).unwrap();
-                st = guard;
-            }
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Sender<T> {
-            self.0.state.lock().unwrap().senders += 1;
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Receiver<T> {
-            self.0.state.lock().unwrap().receivers += 1;
-            Receiver(self.0.clone())
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut st = self.0.state.lock().unwrap();
-            st.senders -= 1;
-            if st.senders == 0 {
-                self.0.recv_ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut st = self.0.state.lock().unwrap();
-            st.receivers -= 1;
-            if st.receivers == 0 {
-                self.0.send_ready.notify_all();
-            }
-        }
-    }
-}
+//! Offline stand-in for `crossbeam`, covering `deque`, the
+//! Chase-Lev-style work-stealing deque trio (`Worker` / `Stealer` /
+//! `Injector`) the driver's scheduler is built on — the API surface
+//! the workspace uses. It is implemented with a `Mutex` (no unsafe),
+//! preserving the upstream API and semantics rather than the lock-free
+//! implementation.
 
 pub mod deque {
     //! Work-stealing deques, after `crossbeam-deque`.
@@ -469,85 +271,5 @@ mod deque_tests {
         });
         assert_eq!(taken.load(Ordering::Relaxed), N);
         assert_eq!(sum.load(Ordering::Relaxed), N * (N - 1) / 2);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel::bounded;
-    use std::thread;
-
-    #[test]
-    fn fan_out_fan_in() {
-        let (job_tx, job_rx) = bounded::<u32>(4);
-        let (done_tx, done_rx) = bounded::<u32>(4);
-        let workers: Vec<_> = (0..3)
-            .map(|_| {
-                let rx = job_rx.clone();
-                let tx = done_tx.clone();
-                thread::spawn(move || {
-                    while let Ok(x) = rx.recv() {
-                        tx.send(x * 2).unwrap();
-                    }
-                })
-            })
-            .collect();
-        drop(job_rx);
-        drop(done_tx);
-        // Feed jobs from a separate thread: with both channels bounded
-        // at 4, producing all 100 jobs before draining any results
-        // would deadlock (workers block on the full done queue and stop
-        // taking jobs).
-        let feeder = thread::spawn(move || {
-            for i in 0..100 {
-                job_tx.send(i).unwrap();
-            }
-        });
-        let mut total = 0u32;
-        while let Ok(x) = done_rx.recv() {
-            total += x;
-        }
-        feeder.join().unwrap();
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(total, (0..100).map(|i| i * 2).sum());
-    }
-
-    #[test]
-    fn send_fails_after_receivers_drop() {
-        let (tx, rx) = bounded::<u8>(1);
-        drop(rx);
-        assert!(tx.send(1).is_err());
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_delivers() {
-        use super::channel::RecvTimeoutError;
-        use std::time::Duration;
-        let (tx, rx) = bounded::<u8>(1);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.send(7).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(7));
-        drop(tx);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Disconnected)
-        );
-    }
-
-    #[test]
-    fn recv_timeout_wakes_on_cross_thread_send() {
-        use std::time::Duration;
-        let (tx, rx) = bounded::<u8>(1);
-        let t = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            tx.send(9).unwrap();
-        });
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(9));
-        t.join().unwrap();
     }
 }

@@ -145,4 +145,8 @@ fn headline_speedups_in_paper_range() {
     let large = e.synthetic(FunctionSize::Large, 4).unwrap().speedup;
     assert!((2.5..7.0).contains(&medium), "medium n=4: {medium}");
     assert!((3.0..7.0).contains(&large), "large n=4: {large}");
+    // Eight function masters on eight workstations (the fig6 row
+    // `f_medium n=8`) stay well clear of sequential and below linear.
+    let medium8 = e.synthetic(FunctionSize::Medium, 8).unwrap().speedup;
+    assert!((3.0..8.0).contains(&medium8), "medium n=8: {medium8}");
 }
