@@ -79,18 +79,16 @@ pub struct LinkWork {
     pub calls_resolved: usize,
 }
 
-/// The data-layout plan for one section: the *collect* step of the
-/// parallel phase 4. Computed sequentially (it is a prefix sum over
-/// per-function data sizes), it provides each function's data base so
-/// the per-function [`resolve_function`] rebasing can run in parallel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectionPlan {
+/// The data-layout plan for one section: a prefix sum over the
+/// per-function data sizes gives each function's data base, which
+/// [`resolve_function`] rebases onto.
+struct SectionPlan {
     /// Base address of each function's data region, in function order.
-    pub data_bases: Vec<u32>,
+    data_bases: Vec<u32>,
     /// Total data words of the section.
-    pub data_words: u32,
+    data_words: u32,
     /// Callee-name → function-index map for call resolution.
-    pub name_to_index: std::collections::HashMap<String, u32>,
+    name_to_index: std::collections::HashMap<String, u32>,
 }
 
 /// Computes the section's data layout and checks its memory budgets.
@@ -98,9 +96,8 @@ pub struct SectionPlan {
 /// # Errors
 ///
 /// Returns [`LinkError::DataTooLarge`] / [`LinkError::CodeTooLarge`]
-/// when the section exceeds cell memory (checked in that order, like
-/// the sequential linker).
-pub fn plan_section(
+/// when the section exceeds cell memory (checked in that order).
+fn plan_section(
     functions: &[FunctionImage],
     config: &CellConfig,
 ) -> Result<SectionPlan, LinkError> {
@@ -136,9 +133,7 @@ pub fn plan_section(
 }
 
 /// Rebases one function's address operands onto its data base and
-/// resolves its call relocations: the per-function *resolve* step of
-/// phase 4, independent across functions once the [`SectionPlan`] is
-/// known, so the parallel driver fans it out over workers.
+/// resolves its call relocations against the section's name map.
 ///
 /// Returns the function's callees (its row of the section call graph)
 /// plus the work counters for this function.
@@ -147,8 +142,8 @@ pub fn plan_section(
 ///
 /// Returns [`LinkError::UnresolvedCall`] for a callee missing from the
 /// plan's name map; relocations are processed in order, so the first
-/// bad one wins, exactly like the sequential linker.
-pub fn resolve_function(
+/// bad one wins.
+fn resolve_function(
     f: &mut FunctionImage,
     base: u32,
     plan_names: &std::collections::HashMap<String, u32>,
@@ -193,15 +188,15 @@ pub fn resolve_function(
     Ok((callees, work))
 }
 
-/// The final *merge* step of phase 4: whole-section recursion check,
-/// entry selection, and [`SectionImage`] construction from resolved
+/// Closes a section's link: whole-section recursion check, entry
+/// selection, and [`SectionImage`] construction from resolved
 /// functions. `call_graph[fi]` must be the callee list
 /// [`resolve_function`] returned for function `fi`.
 ///
 /// # Errors
 ///
 /// Returns [`LinkError::Recursive`] if the call graph has a cycle.
-pub fn finish_section(
+fn finish_section(
     section_name: &str,
     first_cell: u32,
     last_cell: u32,
@@ -227,9 +222,9 @@ pub fn finish_section(
     })
 }
 
-/// Links the functions of one section into a [`SectionImage`] — the
-/// sequential composition of [`plan_section`], per-function
-/// [`resolve_function`], and [`finish_section`].
+/// Links the functions of one section into a [`SectionImage`]: plan
+/// the data layout, resolve every function in order, then finish the
+/// section.
 ///
 /// `entry` rules: the function named `main` if present, else index 0.
 ///

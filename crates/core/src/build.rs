@@ -5,8 +5,7 @@
 //! (§3.2). [`Build`] is that organisation as one request type and
 //! [`Build::run`] is the only place its steps are sequenced:
 //!
-//! 1. **prepare** — phase 1 (sequential when `jobs <= 1`, parallel
-//!    otherwise), then the inline extension;
+//! 1. **prepare** — phase 1, then the inline extension, on the master;
 //! 2. **job list** — every function in source order, dispatched in LPT
 //!    order of the a-priori cost estimates when there is more than one
 //!    worker;
@@ -18,17 +17,16 @@
 //!    recovery loop;
 //! 5. **fallback** — whatever is still missing the master compiles
 //!    itself, panics contained;
-//! 6. **link** — phase 4, sequential or parallel;
+//! 6. **link** — phase 4, on the master;
 //! 7. **verify** — the module-image check under `verify_each_pass`.
 //!
-//! The pipeline branches on `jobs <= 1`, on whether there is a cache,
-//! on whether there is an in-flight table, and on `track` — nothing
-//! else. `DESIGN.md` ("The build pipeline") states the contract.
+//! `jobs` picks the dispatch order (source order or LPT) and the
+//! executor of step 4; phases 1 and 4 are the same on every executor.
+//! Beyond that the pipeline branches on whether there is a cache, on
+//! whether there is an in-flight table, and on `track` — nothing else.
+//! `DESIGN.md` ("The build pipeline") states the contract.
 
-use crate::driver::{
-    link_module_parallel_traced, link_module_traced, prepare, CompileError, CompileOptions,
-    CompileResult,
-};
+use crate::driver::{link_module_traced, prepare, CompileError, CompileOptions, CompileResult};
 use crate::exec::{self, panic_message, probe, Ctx, Executor, Inline, Outcome};
 use crate::farm::{self, FarmConfig};
 use crate::fncache::{function_keys, options_fingerprint, CachedFunction, FnCache};
@@ -50,10 +48,10 @@ pub struct Build<'a> {
     pub source: &'a str,
     /// Compilation options.
     pub opts: &'a CompileOptions,
-    /// Parallelism: `<= 1` is the sequential compiler (sequential
-    /// phase 1 and link, functions compiled on the caller's thread in
-    /// source order); more runs phases 1 and 4 in parallel and the
-    /// function compiles on that many worker threads.
+    /// The width of the compile pool (phases 2 and 3): `<= 1` compiles
+    /// the functions on the caller's thread in source order; more
+    /// compiles them on that many worker threads in LPT order. Phases
+    /// 1 and 4 run on the master either way.
     pub jobs: usize,
     /// Compile the functions on a farm of `warpd-worker` processes
     /// instead of in this process.
@@ -172,7 +170,7 @@ impl<'a> Build<'a> {
             .map(|_| trace.span("farm", "farm build", driver));
 
         // 1. Prepare.
-        let (checked, phase1_units, warnings) = prepare(source, opts, jobs, trace, driver)?;
+        let (checked, phase1_units, warnings) = prepare(source, opts, trace, driver)?;
         let phase1_wall = t0.elapsed();
 
         // 2. The job list, in source order (== record order). With
@@ -281,11 +279,7 @@ impl<'a> Build<'a> {
             images.push(cf.image);
             records.push(cf.record);
         }
-        let (module_image, link_units) = if jobs <= 1 {
-            link_module_traced(&checked, images, opts, trace, driver)?
-        } else {
-            link_module_parallel_traced(&checked, images, opts, jobs, trace, driver)?
-        };
+        let (module_image, link_units) = link_module_traced(&checked, images, opts, trace, driver)?;
 
         // 7. Verify the linked module.
         if opts.verify_each_pass {

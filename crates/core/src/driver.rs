@@ -7,19 +7,17 @@
 //! of the build pipeline ([`crate::build`]) and the simulator
 //! ([`crate::simspec`]) reuse it so that the parallel compiler provably
 //! performs the same work. This module holds the phases themselves —
-//! phase 1 ([`run_phase1`], [`run_phase1_parallel_traced`],
-//! [`prepare_module`]), the per-function compile, phase 4 ([`link_module`],
-//! [`link_module_parallel_traced`]) — and the types they produce; the
+//! phase 1 ([`run_phase1`], [`prepare_module`]), the per-function
+//! compile, phase 4 ([`link_module`]) — and the types they produce; the
 //! pipeline that sequences them is written once, in
-//! [`Build::run`](crate::build::Build::run).
+//! [`Build::run`](crate::build::Build::run). Phases 1 and 4 run on the
+//! master, sequentially, as in the paper (§3.2).
 
 use crate::build::Build;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use warp_analyze::{MachineError, ScheduleError};
-use warp_codegen::link::{
-    assemble_module, finish_section, link_section, plan_section, resolve_function, LinkWork,
-};
+use warp_codegen::link::{assemble_module, link_section, LinkWork};
 use warp_codegen::phase3::{phase3_traced, Phase3Work};
 use warp_ir::phase2::{phase2_traced, Phase2Error, Phase2Work};
 use warp_ir::FactSet;
@@ -239,27 +237,6 @@ impl CompileResult {
     }
 }
 
-/// Closes phase 1: fails with every diagnostic rendered against the
-/// source, or converts the parse counters (tokens, statements, bytes)
-/// to abstract work units.
-fn finish_phase1(
-    source: &str,
-    tokens: usize,
-    checked: CheckedModule,
-    diagnostics: warp_lang::diag::DiagnosticBag,
-) -> Result<(CheckedModule, u64, usize), CompileError> {
-    if diagnostics.has_errors() {
-        let rendered = diagnostics.render_all_with_source(source);
-        return Err(CompileError::Phase1(Phase1Error {
-            diagnostics,
-            rendered,
-        }));
-    }
-    let statements = warp_lang::statement_count(&checked.module);
-    let units = tokens as u64 * 2 + statements as u64 * 3 + source.len() as u64 / 8;
-    Ok((checked, units, diagnostics.warning_count()))
-}
-
 /// Runs phase 1 on a module source (the master's sequential step).
 /// Returns the checked module, abstract work units, and the number of
 /// front-end warnings.
@@ -297,7 +274,34 @@ pub fn run_phase1_traced(
         warp_lang::sema::check(parsed.module)
     };
     diagnostics.merge_sorted(sema_diags);
-    finish_phase1(source, tokens, checked, diagnostics)
+    if diagnostics.has_errors() {
+        let rendered = diagnostics.render_all_with_source(source);
+        return Err(CompileError::Phase1(Phase1Error {
+            diagnostics,
+            rendered,
+        }));
+    }
+    let statements = warp_lang::statement_count(&checked.module);
+    let units = tokens as u64 * 2 + statements as u64 * 3 + source.len() as u64 / 8;
+    Ok((checked, units, diagnostics.warning_count()))
+}
+
+/// [`run_phase1_traced`] under the name of the parallel phase 1 it
+/// replaced: phase 1 runs on the master, and `workers` is unused. Kept
+/// only because the benchmark's layer probe calls it; the next change
+/// to `benchmark/` retires it.
+///
+/// # Errors
+///
+/// Returns the phase-1 diagnostics on failure.
+#[doc(hidden)]
+pub fn run_phase1_parallel_traced(
+    source: &str,
+    _workers: usize,
+    trace: &Trace,
+    track: TrackId,
+) -> Result<(CheckedModule, u64, usize), CompileError> {
+    run_phase1_traced(source, trace, track)
 }
 
 /// Phase 1 plus the optional inlining extension: the checked module the
@@ -311,15 +315,13 @@ pub fn prepare_module(
     source: &str,
     opts: &CompileOptions,
 ) -> Result<(CheckedModule, u64, usize), CompileError> {
-    prepare(source, opts, 1, &Trace::disabled(), TrackId(0))
+    prepare(source, opts, &Trace::disabled(), TrackId(0))
 }
 
-/// [`prepare_module`] for the pipeline: phase 1 runs sequentially
-/// ([`run_phase1_traced`]) when `jobs <= 1` and on the parallel
-/// pipeline of [`run_phase1_parallel_traced`] otherwise; the optional
-/// inlining extension (a `"driver"` span, `inline`) and its defensive
-/// re-check stay sequential either way — it is a whole-module
-/// transform.
+/// [`prepare_module`] for the pipeline, traced: phase 1
+/// ([`run_phase1_traced`]), then the optional inlining extension (a
+/// `"driver"` span, `inline`) and its defensive re-check — all on the
+/// master, whatever executor runs the compiles.
 ///
 /// # Errors
 ///
@@ -327,15 +329,10 @@ pub fn prepare_module(
 pub(crate) fn prepare(
     source: &str,
     opts: &CompileOptions,
-    jobs: usize,
     trace: &Trace,
     track: TrackId,
 ) -> Result<(CheckedModule, u64, usize), CompileError> {
-    let (checked, mut units, warnings) = if jobs <= 1 {
-        run_phase1_traced(source, trace, track)?
-    } else {
-        run_phase1_parallel_traced(source, jobs, trace, track)?
-    };
+    let (checked, mut units, warnings) = run_phase1_traced(source, trace, track)?;
     let Some(policy) = &opts.inline else {
         return Ok((checked, units, warnings));
     };
@@ -359,83 +356,6 @@ pub(crate) fn prepare(
         }));
     }
     Ok((rechecked, units, warnings))
-}
-
-/// [`run_phase1_traced`] with the lexer, parser, and checker fanned out
-/// over `workers` work-stealing threads: the source is chunk-lexed at
-/// comment-safe newline boundaries, the token stream is split at every
-/// `section` keyword and the pieces parsed independently, and each
-/// section is semantically checked in isolation before a sequential
-/// merge rebuilds the module-wide result (collect → merge → resolve;
-/// see `docs/PARALLELISM.md`).
-///
-/// The result is identical to [`run_phase1_traced`] on every input: on
-/// a clean module the piece-wise pipeline is exact by construction, and
-/// whenever the combined diagnostics contain errors — where parser
-/// error recovery could cross a piece boundary — the function discards
-/// the parallel attempt and re-runs the sequential path verbatim.
-///
-/// # Errors
-///
-/// Returns the phase-1 diagnostics on failure.
-pub fn run_phase1_parallel_traced(
-    source: &str,
-    workers: usize,
-    trace: &Trace,
-    track: TrackId,
-) -> Result<(CheckedModule, u64, usize), CompileError> {
-    let workers = workers.max(1);
-    let worker_tracks = crate::exec::worker_tracks(trace, workers);
-    let (parsed, tokens) = {
-        let mut span = trace.span("driver", "parse", track);
-        let bounds = warp_lang::lexer::chunk_boundaries(source, workers);
-        let chunks: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
-        let parts = crate::exec::run_stealing(
-            workers,
-            chunks,
-            &worker_tracks,
-            trace,
-            |_, _, (start, end)| warp_lang::lexer::lex_chunk(source, start, end),
-        );
-        let lexed = warp_lang::lexer::merge_lexed_chunks(source.len(), parts);
-        let tokens = lexed.tokens.len();
-        let eof_span = lexed.tokens.last().expect("EOF-terminated").span;
-        let pieces = warp_lang::parser::split_tokens(lexed.tokens);
-        let header = warp_lang::parser::parse_header_piece(pieces.header);
-        let piece_results = crate::exec::run_stealing(
-            workers,
-            pieces.sections,
-            &worker_tracks,
-            trace,
-            |_, _, tokens| warp_lang::parser::parse_section_piece(tokens),
-        );
-        let parsed =
-            warp_lang::parser::assemble_pieces(lexed.diagnostics, header, piece_results, eof_span);
-        span.arg("bytes", source.len() as f64);
-        (parsed, tokens)
-    };
-    let mut diagnostics = parsed.diagnostics;
-    let (checked, sema_diags) = {
-        let _span = trace.span("driver", "sema", track);
-        let module = parsed.module;
-        let section_indices: Vec<usize> = (0..module.sections.len()).collect();
-        let parts = crate::exec::run_stealing(
-            workers,
-            section_indices,
-            &worker_tracks,
-            trace,
-            |_, _, si| warp_lang::sema::check_section_isolated(&module.sections[si]),
-        );
-        warp_lang::sema::merge_checked(module, parts)
-    };
-    diagnostics.merge_sorted(sema_diags);
-    if diagnostics.has_errors() {
-        // Error recovery may have consumed tokens across piece
-        // boundaries; rebuild sequentially so the reported diagnostics
-        // are exactly the sequential compiler's.
-        return run_phase1_traced(source, trace, track);
-    }
-    finish_phase1(source, tokens, checked, diagnostics)
 }
 
 /// Compiles one function (phases 2 + 3): the function master's job.
@@ -646,106 +566,24 @@ pub fn link_module_traced(
     Ok((assemble_module(&checked.module.name, sections), units))
 }
 
-/// [`link_module_traced`] with the per-function resolve step fanned out
-/// over `workers` work-stealing threads: every section's data layout is
-/// planned sequentially (a cheap prefix sum), all functions of all
-/// well-planned sections are rebased and call-resolved in parallel, and
-/// the per-section recursion check + image assembly runs sequentially
-/// in section order. Byte-identical to the sequential path — including
-/// which error is reported when several sections fail, since errors are
-/// surfaced in (section, function) order.
+/// [`link_module_traced`] under the name of the parallel link it
+/// replaced: phase 4 runs on the master, and `workers` is unused. Kept
+/// only because the benchmark's layer probe calls it; the next change
+/// to `benchmark/` retires it.
 ///
 /// # Errors
 ///
 /// Returns [`CompileError::Link`] on unresolved calls or overflow.
+#[doc(hidden)]
 pub fn link_module_parallel_traced(
     checked: &CheckedModule,
     images: Vec<FunctionImage>,
     opts: &CompileOptions,
-    workers: usize,
+    _workers: usize,
     trace: &Trace,
     track: TrackId,
 ) -> Result<(ModuleImage, u64), CompileError> {
-    let workers = workers.max(1);
-    let mut span = trace.span("driver", "link", track);
-    let worker_tracks = crate::exec::worker_tracks(trace, workers);
-
-    // Collect: group images per section and plan each layout.
-    let mut iter = images.into_iter();
-    let mut per_section: Vec<Vec<FunctionImage>> = checked
-        .module
-        .sections
-        .iter()
-        .map(|s| {
-            (0..s.functions.len())
-                .map(|_| iter.next().expect("image per function"))
-                .collect()
-        })
-        .collect();
-    let plans: Vec<Result<warp_codegen::link::SectionPlan, warp_codegen::LinkError>> = per_section
-        .iter()
-        .map(|fns| plan_section(fns, &opts.cell))
-        .collect();
-
-    // Resolve: rebase + call-resolve every function of every
-    // well-planned section in parallel. Jobs are in (section, function)
-    // order and `run_stealing` returns results in job order, so the
-    // sequential error priority is preserved below.
-    let mut jobs: Vec<(usize, usize, FunctionImage, u32)> = Vec::new();
-    for (si, fns) in per_section.iter_mut().enumerate() {
-        if let Ok(plan) = &plans[si] {
-            for (fi, f) in std::mem::take(fns).into_iter().enumerate() {
-                jobs.push((si, fi, f, plan.data_bases[fi]));
-            }
-        }
-    }
-    let plans_ref = &plans;
-    let mut resolved = crate::exec::run_stealing(
-        workers,
-        jobs,
-        &worker_tracks,
-        trace,
-        move |_, _, (si, fi, mut img, base)| {
-            let plan = plans_ref[si]
-                .as_ref()
-                .expect("only planned sections are resolved");
-            let r = resolve_function(&mut img, base, &plan.name_to_index);
-            (fi, img, r)
-        },
-    )
-    .into_iter();
-
-    // Finish: surface errors and assemble images in section order.
-    let mut sections = Vec::with_capacity(checked.module.sections.len());
-    let mut units = 0u64;
-    for (section, plan) in checked.module.sections.iter().zip(plans) {
-        let plan = plan?;
-        let n = section.functions.len();
-        let mut fns = Vec::with_capacity(n);
-        let mut call_graph: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut work = LinkWork::default();
-        for _ in 0..n {
-            let (fi, img, r) = resolved.next().expect("one result per planned function");
-            let (callees, w) = r?;
-            call_graph[fi] = callees;
-            work.words_scanned += w.words_scanned;
-            work.addrs_rebased += w.addrs_rebased;
-            work.calls_resolved += w.calls_resolved;
-            fns.push(img);
-        }
-        let img = finish_section(
-            &section.name,
-            section.first_cell,
-            section.last_cell,
-            fns,
-            plan,
-            &call_graph,
-        )?;
-        units += link_units_of(&work);
-        sections.push(img);
-    }
-    span.arg("sections", sections.len() as f64);
-    Ok((assemble_module(&checked.module.name, sections), units))
+    link_module_traced(checked, images, opts, trace, track)
 }
 
 /// The sequential compiler: phase 1, then every function in source
@@ -852,84 +690,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_phase1_is_identical_to_sequential() {
-        use warp_workload::user_program;
-        let mut sources = vec![user_program(), synthetic_program(FunctionSize::Small, 3)];
-        // Comment-heavy source exercises the chunk-boundary scanner.
-        sources.push(format!(
-            "{{ leading block\ncomment }}\n{}\n-- trailing line comment",
-            user_program()
-        ));
-        for src in &sources {
-            let (seq, seq_units, seq_warn) = run_phase1(src).expect("sequential phase 1");
-            for workers in [1, 2, 4, 8] {
-                let (par, par_units, par_warn) =
-                    run_phase1_parallel_traced(src, workers, &Trace::disabled(), TrackId(0))
-                        .expect("parallel phase 1");
-                assert_eq!(par, seq, "checked module mismatch at {workers} workers");
-                assert_eq!(par_units, seq_units, "units mismatch at {workers} workers");
-                assert_eq!(
-                    par_warn, seq_warn,
-                    "warning count mismatch at {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn parallel_phase1_reports_sequential_errors() {
+        // A build at every width fails with exactly the sequential
+        // front end's diagnostics, rendering included.
+        let opts = CompileOptions::default();
         for src in [
             "module broken;",
             "module m; section a on cells 0..0; function f(): float begin return q; end; end;",
             "module m; section a on cells 0..0; function f() begin x := section; end; end;",
             "module m; section a on cells 0..0; function f() begin t := ; end; end;",
         ] {
-            let seq = run_phase1(src).expect_err("sequential rejects");
-            let par = run_phase1_parallel_traced(src, 4, &Trace::disabled(), TrackId(0))
-                .expect_err("parallel rejects");
-            let (CompileError::Phase1(s), CompileError::Phase1(p)) = (seq, par) else {
-                panic!("non-phase1 error")
+            let Err(CompileError::Phase1(seq)) = run_phase1(src) else {
+                panic!("phase 1 accepts {src:?}")
             };
-            assert_eq!(
-                p.diagnostics, s.diagnostics,
-                "diagnostics differ on {src:?}"
-            );
-            assert_eq!(p.rendered, s.rendered, "rendering differs on {src:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_link_is_identical_to_sequential() {
-        let src = warp_workload::user_program();
-        let opts = CompileOptions::default();
-        let (checked, _, _) = run_phase1(&src).expect("phase 1");
-        let mut images = Vec::new();
-        for si in 0..checked.module.sections.len() {
-            for fi in 0..checked.module.sections[si].functions.len() {
-                let (img, _) = compile_function(&checked, &src, si, fi, &opts).expect("compile");
-                images.push(img);
+            for jobs in [1, 2, 4, 8] {
+                let build = crate::build::Build {
+                    jobs,
+                    ..crate::build::Build::new(src, &opts)
+                };
+                let Err(CompileError::Phase1(e)) = build.run() else {
+                    panic!("jobs {jobs} does not fail phase 1 on {src:?}")
+                };
+                assert_eq!(e.diagnostics, seq.diagnostics, "jobs {jobs}, {src:?}");
+                assert_eq!(e.rendered, seq.rendered, "jobs {jobs}, {src:?}");
             }
-        }
-        let (seq_image, seq_units) =
-            link_module(&checked, images.clone(), &opts).expect("sequential link");
-        for workers in [1, 2, 4, 8] {
-            let (par_image, par_units) = link_module_parallel_traced(
-                &checked,
-                images.clone(),
-                &opts,
-                workers,
-                &Trace::disabled(),
-                TrackId(0),
-            )
-            .expect("parallel link");
-            assert_eq!(
-                par_image, seq_image,
-                "module image mismatch at {workers} workers"
-            );
-            assert_eq!(
-                par_units, seq_units,
-                "link units mismatch at {workers} workers"
-            );
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The work-stealing worker loop and the in-process executors.
 //!
-//! One worker loop ([`worker_loop`]) serves every parallel stage of the
-//! compiler. Each worker drains its own FIFO deque
+//! One worker loop ([`worker_loop`]) serves the compile stage (phases 2
+//! and 3), the only stage that runs in parallel; phases 1 and 4 run on
+//! the master. Each worker drains its own FIFO deque
 //! ([`crossbeam::deque`]) first, then the pool's shared injector, then
 //! steals from its siblings. A worker that finds nothing anywhere is
 //! done and **goes home** — it neither spins nor sleeps on the chance
@@ -9,19 +10,10 @@
 //! later is picked up by whoever is still running, and if nobody is,
 //! the injection starts a worker for it.
 //!
-//! Two things run on that loop:
-//!
-//! * [`run_stealing`] — a one-shot stage: fans a list of independent
-//!   jobs out over the workers and returns the results **in job
-//!   order**, which is what makes every parallel stage bit-identical to
-//!   its sequential counterpart (ordering is decided by the job list,
-//!   never by thread timing). Used for the phases the 1989 paper left
-//!   sequential — chunked lexing, per-section parsing and sema
-//!   (phase 1), per-function address resolution (phase 4);
-//! * [`with_threads`] — the compile stage's thread [`Executor`]: the
-//!   first batch of attempts is seeded round-robin over the deques (in
-//!   the LPT order the pipeline dispatched them), retries arrive
-//!   through the injector.
+//! [`with_threads`] runs that loop as the compile stage's thread
+//! [`Executor`]: the first batch of attempts is seeded round-robin over
+//! the deques (in the LPT order the pipeline dispatched them), retries
+//! arrive through the injector.
 //!
 //! [`Executor`] is the whole interface between the build pipeline's
 //! recovery loop ([`crate::build`]) and whatever runs the compiles:
@@ -57,7 +49,7 @@ use warp_obs::{Trace, TrackId};
 /// Interns one trace track per worker (`worker 0` … `worker N-1`).
 /// Tracks are interned by name, so repeated calls — and the sequential
 /// driver's own `worker 0` — share rows.
-pub(crate) fn worker_tracks(trace: &Trace, workers: usize) -> Vec<TrackId> {
+fn worker_tracks(trace: &Trace, workers: usize) -> Vec<TrackId> {
     (0..workers)
         .map(|w| trace.track(&format!("worker {w}")))
         .collect()
@@ -253,74 +245,6 @@ fn worker_loop<T>(
         run(task);
         pool.finish_one();
     }
-}
-
-/// Runs `jobs` to completion on up to `workers` stealing workers and
-/// returns the results in job order.
-///
-/// `f` is called as `f(worker, job_index, job)`. With one worker (or
-/// one job) everything runs inline on the calling thread as worker 0 —
-/// no threads are spawned, which keeps the degenerate case exactly as
-/// cheap as a sequential loop.
-///
-/// A panic inside `f` propagates to the caller once the scope joins,
-/// the same way it would in a sequential loop.
-pub(crate) fn run_stealing<T, R, F>(
-    workers: usize,
-    jobs: Vec<T>,
-    tracks: &[TrackId],
-    trace: &Trace,
-    f: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, usize, T) -> R + Sync,
-{
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.max(1).min(n);
-    if workers == 1 {
-        return jobs
-            .into_iter()
-            .enumerate()
-            .map(|(i, job)| f(0, i, job))
-            .collect();
-    }
-
-    let (locals, stealers) = seed(workers, jobs.into_iter().enumerate(), tracks, trace);
-    let pool = Pool::new();
-    pool.seeded(n, workers);
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .into_iter()
-            .enumerate()
-            .map(|(w, local)| {
-                let (stealers, pool, f) = (&stealers, &pool, &f);
-                let track = tracks.get(w).copied().unwrap_or(TrackId(0));
-                scope.spawn(move || {
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    worker_loop(w, &local, stealers, pool, trace, track, |(i, job)| {
-                        out.push((i, f(w, i, job)));
-                    });
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("stage worker panicked") {
-                results[i] = Some(r);
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every job produced a result"))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -643,65 +567,6 @@ pub(crate) fn with_threads<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn results_come_back_in_job_order() {
-        let jobs: Vec<usize> = (0..100).collect();
-        let out = run_stealing(4, jobs, &[], &Trace::disabled(), |_, i, job| {
-            assert_eq!(i, job);
-            job * 3
-        });
-        assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_and_single_job_lists() {
-        let out: Vec<u32> =
-            run_stealing(8, Vec::<u32>::new(), &[], &Trace::disabled(), |_, _, j| j);
-        assert!(out.is_empty());
-        let out = run_stealing(8, vec![7u32], &[], &Trace::disabled(), |w, _, j| {
-            assert_eq!(w, 0, "single job runs inline");
-            j + 1
-        });
-        assert_eq!(out, vec![8]);
-    }
-
-    #[test]
-    fn uneven_jobs_are_stolen_not_stranded() {
-        // Worker 0's seeded share includes one slow job; the other
-        // workers must steal the rest of its queue rather than idle.
-        let ran_by: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        let jobs: Vec<usize> = (0..64).collect();
-        let out = run_stealing(4, jobs, &[], &Trace::disabled(), |w, i, job| {
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(30));
-            }
-            ran_by[i].store(w, Ordering::Relaxed);
-            job
-        });
-        assert_eq!(out.len(), 64);
-        let thieves: std::collections::BTreeSet<usize> =
-            ran_by.iter().map(|a| a.load(Ordering::Relaxed)).collect();
-        assert!(thieves.len() > 1, "work spread across workers: {thieves:?}");
-    }
-
-    #[test]
-    fn a_panicking_stage_job_propagates_instead_of_hanging() {
-        let caught = catch_unwind(|| {
-            run_stealing(
-                2,
-                vec![0u32, 1, 2, 3],
-                &[],
-                &Trace::disabled(),
-                |_, _, j| {
-                    assert!(j != 2, "job 2 blows up");
-                    j
-                },
-            )
-        });
-        assert!(caught.is_err());
-    }
 
     #[test]
     fn inline_retries_injected_panics_only() {
@@ -736,15 +601,49 @@ mod tests {
 
     #[test]
     fn sched_instants_and_queue_counters_are_recorded() {
+        let bodies: String = (0..32)
+            .map(|i| format!("function f{i}() begin end; "))
+            .collect();
+        let src = format!("module m; section s on cells 0..0; {bodies}end;");
+        let (checked, _, _) = crate::driver::run_phase1(&src).expect("phase 1");
+        let fns: Vec<(usize, usize)> = (0..32).map(|fi| (0, fi)).collect();
+        let names: Vec<String> = (0..32).map(|i| format!("f{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
         let trace = Trace::new(warp_obs::ClockDomain::Monotonic);
-        let tracks = worker_tracks(&trace, 4);
-        let jobs: Vec<usize> = (0..32).collect();
-        let _ = run_stealing(4, jobs, &tracks, &trace, |_, _, j| {
-            if j % 4 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
+        let ctx = Ctx {
+            checked: &checked,
+            source: &src,
+            opts: &CompileOptions::default(),
+            fns: &fns,
+            names: &names,
+            cache: None,
+            inflight: None,
+            keys: &[],
+            options_fp: 0,
+            trace: &trace,
+            stall_for: Duration::from_millis(2),
+        };
+        let delivered = with_threads(&ctx, 4, |ex| {
+            for job in 0..32 {
+                let action = if job % 4 == 0 {
+                    ChaosAction::Stall
+                } else {
+                    ChaosAction::None
+                };
+                ex.dispatch(job, 0, action);
             }
-            j
+            let mut delivered = 0;
+            while let Some((_, outcome)) = ex.next(Duration::from_secs(10)) {
+                assert!(matches!(outcome, Outcome::Done(..)));
+                delivered += 1;
+                if delivered == 32 {
+                    break;
+                }
+            }
+            ex.quiesce();
+            delivered
         });
+        assert_eq!(delivered, 32);
         let snap = trace.snapshot();
         assert!(
             snap.counters.iter().any(|c| c.name.starts_with("queue ")),

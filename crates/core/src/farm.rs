@@ -815,7 +815,7 @@ fn worker_loop(addr: &str, worker: usize) -> Result<i32, String> {
     let trace = Trace::disabled();
     let track = trace.track("worker");
     let (checked, _units, _warnings) =
-        prepare(&source, &opts, 1, &trace, track).map_err(|e| format!("phase1: {e}"))?;
+        prepare(&source, &opts, &trace, track).map_err(|e| format!("phase1: {e}"))?;
     let n: usize = checked
         .module
         .sections

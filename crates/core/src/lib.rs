@@ -67,10 +67,7 @@ pub use metrics::{overheads, speedup, Measurement, Overheads};
 pub use parmake::{
     parmake_comparison, ParmakeReport, SystemModule, PARMAKE_FAULTS, PARMAKE_FAULT_SEED,
 };
-pub use scheduler::{
-    fcfs, grouped_lpt, grouped_lpt_estimates, rebalance_after_loss, rebalance_after_loss_estimates,
-    Assignment,
-};
+pub use scheduler::{fcfs, grouped_lpt, grouped_lpt_estimates, Assignment};
 pub use threads::{
     compile_parallel, compile_parallel_cached, default_jobs, resolve_jobs, ChaosAction, ChaosPlan,
     FaultStats, RetryPolicy,

@@ -76,64 +76,6 @@ pub fn grouped_lpt_estimates(estimates: &[u64], processors: usize) -> Assignment
     }
 }
 
-/// Repairs an assignment after losing workstations mid-build: every
-/// function placed on a machine in `lost` is moved onto the surviving
-/// machine with the least re-planned load (LPT over the a-priori
-/// estimates of the displaced functions, heaviest first). Survivors
-/// keep their original placement — the master only re-dispatches
-/// orphaned work, it never migrates jobs that are still running.
-///
-/// If every workstation in the original assignment is lost, the
-/// displaced functions all land on workstation 0 — the master's own
-/// machine, the one host assumed reliable (the in-master sequential
-/// fallback of `threads`).
-pub fn rebalance_after_loss(
-    assignment: &Assignment,
-    records: &[FunctionRecord],
-    lost: &[usize],
-) -> Assignment {
-    let estimates: Vec<u64> = records.iter().map(|r| r.cost_estimate).collect();
-    rebalance_after_loss_estimates(assignment, &estimates, lost)
-}
-
-/// [`rebalance_after_loss`] over bare estimates (see
-/// [`grouped_lpt_estimates`]).
-pub fn rebalance_after_loss_estimates(
-    assignment: &Assignment,
-    estimates: &[u64],
-    lost: &[usize],
-) -> Assignment {
-    let is_lost = |w: usize| lost.contains(&w);
-    // Surviving stations and their retained load.
-    let mut load: std::collections::BTreeMap<usize, u64> = std::collections::BTreeMap::new();
-    for (i, &w) in assignment.workstation.iter().enumerate() {
-        if !is_lost(w) {
-            *load.entry(w).or_insert(0) += estimates[i].max(1);
-        }
-    }
-    let mut workstation = assignment.workstation.clone();
-    let mut displaced: Vec<usize> = (0..workstation.len())
-        .filter(|&i| is_lost(workstation[i]))
-        .collect();
-    displaced.sort_by_key(|&i| (std::cmp::Reverse(estimates[i]), i));
-    for i in displaced {
-        match load.iter().min_by_key(|&(&w, &l)| (l, w)).map(|(&w, _)| w) {
-            Some(best) => {
-                workstation[i] = best;
-                *load.get_mut(&best).expect("surviving station") += estimates[i].max(1);
-            }
-            None => workstation[i] = 0,
-        }
-    }
-    let mut used: Vec<usize> = workstation.clone();
-    used.sort_unstable();
-    used.dedup();
-    Assignment {
-        workstation,
-        processors: used.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,58 +141,5 @@ mod tests {
         let records = vec![rec(10), rec(20)];
         let a = grouped_lpt(&records, 1);
         assert!(a.workstation.iter().all(|&w| w == 1));
-    }
-
-    #[test]
-    fn rebalance_moves_only_displaced_functions() {
-        let records = vec![rec(40), rec(30), rec(20), rec(10)];
-        let a = grouped_lpt(&records, 4);
-        let lost_ws = a.workstation[1];
-        let r = rebalance_after_loss(&a, &records, &[lost_ws]);
-        for (i, (&before, &after)) in a.workstation.iter().zip(&r.workstation).enumerate() {
-            if before == lost_ws {
-                assert_ne!(after, lost_ws, "function {i} must leave the lost machine");
-            } else {
-                assert_eq!(before, after, "function {i} must not migrate");
-            }
-        }
-        assert_eq!(r.processors, 3);
-    }
-
-    #[test]
-    fn rebalance_balances_displaced_load_lpt() {
-        // Two survivors with loads 10 and 20; displaced 40 and 30 from
-        // the lost machine: 40 → lighter (ws of load 10), 30 → the
-        // other (now 20 < 50).
-        let records = vec![rec(10), rec(20), rec(40), rec(30)];
-        let a = Assignment {
-            workstation: vec![1, 2, 3, 3],
-            processors: 3,
-        };
-        let r = rebalance_after_loss(&a, &records, &[3]);
-        assert_eq!(r.workstation, vec![1, 2, 1, 2]);
-    }
-
-    #[test]
-    fn rebalance_with_no_survivors_falls_back_to_master() {
-        let records = vec![rec(10), rec(20)];
-        let a = Assignment {
-            workstation: vec![1, 1],
-            processors: 1,
-        };
-        let r = rebalance_after_loss(&a, &records, &[1]);
-        assert_eq!(
-            r.workstation,
-            vec![0, 0],
-            "everything on the master's machine"
-        );
-    }
-
-    #[test]
-    fn rebalance_is_identity_when_nothing_lost() {
-        let records = vec![rec(10), rec(20), rec(30)];
-        let a = grouped_lpt(&records, 2);
-        let r = rebalance_after_loss(&a, &records, &[]);
-        assert_eq!(a.workstation, r.workstation);
     }
 }

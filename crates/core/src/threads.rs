@@ -3,13 +3,9 @@
 //!
 //! The same master / section-master / function-master structure as the
 //! simulated 1989 system, executed with actual parallelism on the host
-//! machine. Where the paper (and the first implementations here) left
-//! phases 1 and 4 sequential, a threaded build parallelizes all four:
-//! phase 1 runs as chunked parallel lexing plus per-section parsing
-//! and sema with a sequential merge, phases 2–3 run one function per
-//! stealing worker, and phase 4 resolves per-function addresses in
-//! parallel with a sequential per-section finish — all bit-identical
-//! to the sequential compiler.
+//! machine. As in the paper, phases 1 and 4 run on the master and
+//! phases 2–3 run one function per stealing worker — bit-identical to
+//! the sequential compiler.
 //!
 //! [`compile_parallel`] and [`compile_parallel_cached`] are
 //! constructors over [`crate::build::Build`], which runs the one

@@ -259,125 +259,6 @@ impl<'src> Lexer<'src> {
     }
 }
 
-// ---- chunked lexing -----------------------------------------------------
-//
-// The parallel driver cuts the source into chunks, lexes them on
-// separate workers, and concatenates the results. Correctness rests on
-// the cut points: a cut is only taken immediately after a newline that
-// lies outside every comment, so no token, line comment, or block
-// comment can straddle a boundary. A newline outside a comment is
-// always between tokens (no Warp token contains a newline), which makes
-// `lex(chunk)` on each piece — with spans shifted by the chunk's base
-// offset — produce exactly the tokens and diagnostics `lex(source)`
-// would for that region.
-
-/// Positions at which `source` may be cut into independently lexable
-/// chunks: a strictly increasing vector starting with `0` and ending
-/// with `source.len()`, aiming for `chunks` pieces of roughly equal
-/// size. Fewer boundaries are returned when the source has too few safe
-/// cut points (pathologically, a giant block comment yields one chunk).
-pub fn chunk_boundaries(source: &str, chunks: usize) -> Vec<usize> {
-    let len = source.len();
-    if chunks <= 1 || len == 0 {
-        return vec![0, len];
-    }
-    // One pass tracking comment state; candidates are byte positions
-    // just after a newline in normal (non-comment) state. A newline
-    // also terminates a line comment, returning the state to normal,
-    // so those positions qualify too.
-    #[derive(PartialEq)]
-    enum State {
-        Normal,
-        LineComment,
-        BlockComment,
-    }
-    let bytes = source.as_bytes();
-    let mut candidates: Vec<usize> = Vec::new();
-    let mut state = State::Normal;
-    let mut i = 0;
-    while i < bytes.len() {
-        match state {
-            State::Normal => match bytes[i] {
-                b'\n' => candidates.push(i + 1),
-                b'-' if bytes.get(i + 1) == Some(&b'-') => state = State::LineComment,
-                b'{' => state = State::BlockComment,
-                _ => {}
-            },
-            State::LineComment => {
-                if bytes[i] == b'\n' {
-                    state = State::Normal;
-                    candidates.push(i + 1);
-                }
-            }
-            State::BlockComment => {
-                if bytes[i] == b'}' {
-                    state = State::Normal;
-                }
-            }
-        }
-        i += 1;
-    }
-    let mut bounds = vec![0];
-    for k in 1..chunks {
-        let target = len * k / chunks;
-        // Smallest safe cut at or after the equal-size target.
-        let pos = match candidates.binary_search(&target) {
-            Ok(i) | Err(i) => i,
-        };
-        if let Some(&cut) = candidates.get(pos) {
-            if cut > *bounds.last().expect("nonempty") && cut < len {
-                bounds.push(cut);
-            }
-        }
-    }
-    bounds.push(len);
-    bounds
-}
-
-/// Lexes the chunk `source[start..end]` as if it were lexed in place:
-/// token and diagnostic spans are absolute positions in `source`. The
-/// returned token vector carries **no** EOF terminator — chunks are
-/// meant to be concatenated by [`merge_lexed_chunks`].
-///
-/// `start` and `end` must come from [`chunk_boundaries`]; an arbitrary
-/// cut can split a token or comment and change what is lexed.
-pub fn lex_chunk(source: &str, start: usize, end: usize) -> (Vec<Token>, DiagnosticBag) {
-    let out = lex(&source[start..end]);
-    let base = start as u32;
-    let mut tokens = out.tokens;
-    let eof = tokens.pop();
-    debug_assert!(matches!(eof.map(|t| t.kind), Some(TokenKind::Eof)));
-    for t in &mut tokens {
-        t.span = Span::new(t.span.start + base, t.span.end + base);
-    }
-    let diagnostics = out
-        .diagnostics
-        .into_iter()
-        .map(|mut d| {
-            d.span = Span::new(d.span.start + base, d.span.end + base);
-            d
-        })
-        .collect();
-    (tokens, diagnostics)
-}
-
-/// Concatenates chunk-lex results (in source order) into a [`LexOutput`]
-/// equal to `lex(source)`: tokens from every chunk, one EOF token at
-/// `source_len`, and diagnostics in source order.
-pub fn merge_lexed_chunks(source_len: usize, parts: Vec<(Vec<Token>, DiagnosticBag)>) -> LexOutput {
-    let mut tokens = Vec::with_capacity(parts.iter().map(|(t, _)| t.len()).sum::<usize>() + 1);
-    let mut diagnostics = DiagnosticBag::new();
-    for (part_tokens, part_diags) in parts {
-        tokens.extend(part_tokens);
-        diagnostics.extend(part_diags);
-    }
-    tokens.push(Token::new(TokenKind::Eof, Span::point(source_len as u32)));
-    LexOutput {
-        tokens,
-        diagnostics,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,67 +418,5 @@ mod tests {
     fn huge_integer_overflow_is_diagnosed() {
         let out = lex("99999999999999999999999");
         assert!(out.diagnostics.has_errors());
-    }
-
-    /// Chunked lexing through `chunk_boundaries` must be byte-identical
-    /// to one-shot lexing: same tokens, same spans, same diagnostics.
-    fn assert_chunked_equal(src: &str, chunks: usize) {
-        let seq = lex(src);
-        let bounds = chunk_boundaries(src, chunks);
-        assert_eq!(*bounds.first().unwrap(), 0);
-        assert_eq!(*bounds.last().unwrap(), src.len());
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1] || src.is_empty()),
-            "{bounds:?}"
-        );
-        let parts: Vec<_> = bounds
-            .windows(2)
-            .map(|w| lex_chunk(src, w[0], w[1]))
-            .collect();
-        let merged = merge_lexed_chunks(src.len(), parts);
-        assert_eq!(merged.tokens, seq.tokens, "chunks={chunks} src={src:?}");
-        assert_eq!(
-            merged.diagnostics.iter().collect::<Vec<_>>(),
-            seq.diagnostics.iter().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn chunked_lexing_matches_sequential() {
-        let src = "module m;\nsection a on cells 0..1;\n-- comment with { brace\n\
-                   function f(x: float): float\nvar acc: float;\n{ block\ncomment }\n\
-                   begin\nacc := 1.0e-3 + 4..0;\nreturn acc;\nend;\nend;\n";
-        for chunks in [1, 2, 3, 4, 8, 32] {
-            assert_chunked_equal(src, chunks);
-        }
-    }
-
-    #[test]
-    fn chunked_lexing_matches_on_edge_inputs() {
-        for src in [
-            "",
-            "\n\n\n",
-            "a\n#\nb\n",                    // invalid char diagnostics
-            "{ never closed\nacross lines", // unterminated block comment
-            "x -- tail comment no newline",
-            "1e--3\n2\n", // `--` right after a number
-            "module m; -- all on one line, no safe cuts",
-        ] {
-            for chunks in [2, 4, 7] {
-                assert_chunked_equal(src, chunks);
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_boundaries_never_cut_comments() {
-        let src = "a\n{ long block comment\nwith newlines\ninside }\nb -- line\nc\n";
-        let bounds = chunk_boundaries(src, 16);
-        let open = src.find('{').unwrap();
-        let close = src.find('}').unwrap();
-        for &b in &bounds[1..bounds.len() - 1] {
-            assert!(b <= open || b > close, "cut {b} inside block comment");
-            assert_eq!(&src[b - 1..b], "\n", "cut {b} not after a newline");
-        }
     }
 }

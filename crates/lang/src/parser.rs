@@ -63,17 +63,17 @@ pub fn parse_lexed(lexed: LexOutput) -> ParseOutput {
 
 // ---- split parsing ------------------------------------------------------
 //
-// The parallel driver splits the token stream at every `section`
-// keyword and parses the pieces on separate workers. On a module that
-// parses cleanly this is exact: `section` is only legal at a section
-// start, so a clean sequential parse consumes exactly the tokens of
-// each piece for each section. Error recovery *can* consume a `section`
-// token (crossing a piece boundary), so callers must fall back to the
-// sequential [`parse`] whenever the combined diagnostics contain errors
-// — see `docs/PARALLELISM.md` for the contract.
+// The token stream can be split at every `section` keyword and the
+// pieces parsed independently, so a caller can treat each section's
+// parse as a unit of its own. On a module that parses cleanly this is
+// exact: `section` is only legal at a section start, so a clean
+// sequential parse consumes exactly the tokens of each piece for each
+// section. Error recovery *can* consume a `section` token (crossing a
+// piece boundary), so callers must fall back to the sequential
+// [`parse`] whenever the combined diagnostics contain errors.
 
 /// A token stream split at every `section` keyword for piece-wise
-/// parallel parsing. Produced by [`split_tokens`].
+/// parsing. Produced by [`split_tokens`].
 #[derive(Debug, Clone)]
 pub struct TokenPieces {
     /// Everything before the first `section` token (the module header

@@ -144,35 +144,16 @@ impl CheckedModule {
 /// [`DiagnosticBag::has_errors`] is true — the paper's master process
 /// aborts the parallel compilation in that case.
 pub fn check(module: Module) -> (CheckedModule, DiagnosticBag) {
-    let mut diags = DiagnosticBag::new();
-    let mut sections = Vec::with_capacity(module.sections.len());
-
-    check_cell_ranges(&module, &mut diags);
-
-    let mut seen_section_names: HashMap<&str, Span> = HashMap::new();
-    for section in &module.sections {
-        if let Some(&prev) = seen_section_names.get(section.name.as_str()) {
-            diags.error(
-                section.span,
-                format!(
-                    "duplicate section name `{}` (first declared at byte {})",
-                    section.name, prev.start
-                ),
-            );
-        } else {
-            seen_section_names.insert(&section.name, section.span);
-        }
-        sections.push(check_section(section, &mut diags));
-    }
-
-    (CheckedModule { module, sections }, diags)
+    let parts = module.sections.iter().map(check_section_isolated).collect();
+    merge_checked(module, parts)
 }
 
 /// Checks one section in isolation, returning its [`CheckedSection`]
 /// and the diagnostics it produced. Sections are independent (calls may
-/// only target functions in the same section, §3.2), so the parallel
-/// driver fans sections out to workers and recombines the results with
-/// [`merge_checked`].
+/// only target functions in the same section, §3.2), so a section's
+/// result depends on its own text alone; [`merge_checked`] recombines
+/// the per-section results into the module's, and [`check`] is exactly
+/// that composition.
 pub fn check_section_isolated(section: &Section) -> (CheckedSection, DiagnosticBag) {
     let mut diags = DiagnosticBag::new();
     let checked = check_section(section, &mut diags);
@@ -180,9 +161,10 @@ pub fn check_section_isolated(section: &Section) -> (CheckedSection, DiagnosticB
 }
 
 /// Merges per-section results from [`check_section_isolated`] into the
-/// output [`check`] would produce for the whole module: the module-wide
-/// checks (cell-range overlap, duplicate section names) run here, and
-/// diagnostics are recombined in exactly the sequential order.
+/// checked module: the module-wide checks (cell-range overlap, duplicate
+/// section names) run here. Diagnostics come out range errors first,
+/// then per section its duplicate-name error followed by its own
+/// diagnostics.
 ///
 /// `parts` must be parallel to `module.sections`.
 ///
@@ -830,6 +812,24 @@ mod tests {
         );
         // Errors inside functions (undeclared variable, bad call).
         assert_merged_matches(&wrap("zz := 1.0; return x;"));
+        // The order itself: range errors first, then per section its
+        // duplicate-name error followed by its own diagnostics.
+        let module = parse(
+            "module m;\n\
+             section a on cells 0..1; function f() begin p := 1; end; end;\n\
+             section a on cells 1..2; function g() begin q := 1; end; end;",
+        )
+        .module;
+        let messages: Vec<String> = check(module).1.iter().map(|d| d.message.clone()).collect();
+        assert_eq!(
+            messages,
+            [
+                "section `a` overlaps cells with section `a`",
+                "undeclared variable `p`",
+                "duplicate section name `a` (first declared at byte 10)",
+                "undeclared variable `q`",
+            ]
+        );
     }
 
     #[test]
