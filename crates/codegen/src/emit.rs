@@ -767,7 +767,7 @@ pub(crate) mod tests_debug_helper {
 mod ifconv_pipeline_tests {
     use crate::regalloc::allocate;
     use crate::select::select;
-    use warp_ir::phase2::phase2_opts;
+    use warp_ir::phase2::phase2_verified;
     use warp_lang::phase1;
     use warp_target::config::CellConfig;
     use warp_target::interp::{Cell, Value};
@@ -795,12 +795,14 @@ mod ifconv_pipeline_tests {
 
         let run = |ifconv: bool| -> (u64, f32, usize) {
             let policy = warp_ir::IfConvPolicy::default();
-            let p2 = phase2_opts(
+            let p2 = phase2_verified(
                 f,
                 &checked.sections[0].symbol_tables[0],
                 &checked.sections[0].signatures,
                 None,
                 ifconv.then_some(&policy),
+                false,
+                false,
             )
             .unwrap();
             let mut vf = select(&p2.ir, &p2.loops.pipelinable_blocks());

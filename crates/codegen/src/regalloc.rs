@@ -18,7 +18,7 @@
 
 use crate::vcode::{VDest, VFunc, VOp, VOperand, VTerm};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use warp_ir::VirtReg;
 use warp_target::config::CellConfig;
 use warp_target::isa::{Opcode, Reg};
@@ -219,8 +219,9 @@ fn intervals(vf: &VFunc) -> Vec<Interval> {
 }
 
 /// Rewrites every occurrence of spilled vregs with fresh short-lived
-/// vregs plus loads/stores. Returns ops inserted.
-fn spill(vf: &mut VFunc, victims: &HashSet<VirtReg>) -> usize {
+/// vregs plus loads/stores. Returns ops inserted. Slots are handed out
+/// in vreg order, so the code is the same on every run.
+fn spill(vf: &mut VFunc, victims: &BTreeSet<VirtReg>) -> usize {
     let mut slots: HashMap<VirtReg, u32> = HashMap::new();
     for &v in victims {
         slots.insert(v, vf.new_data_word());
@@ -332,7 +333,7 @@ pub fn allocate(vf: &mut VFunc, config: &CellConfig) -> Result<RegAllocStats, Re
         let mut free: VecDeque<Reg> = (FIRST_ALLOCATABLE..config.num_regs).map(Reg).collect();
         let mut active: Vec<(usize, Reg, VirtReg)> = Vec::new(); // (end, reg, vreg)
         let mut assignment: HashMap<VirtReg, Reg> = HashMap::new();
-        let mut victims: HashSet<VirtReg> = HashSet::new();
+        let mut victims: BTreeSet<VirtReg> = BTreeSet::new();
         for iv in &ivs {
             // Expire.
             let mut kept = Vec::with_capacity(active.len());

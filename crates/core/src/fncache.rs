@@ -37,7 +37,7 @@ use warp_target::program::FunctionImage;
 /// Bump when the cached payload layout or the key recipe changes:
 /// old on-disk objects then decode-fail (payload) or simply never
 /// match (key), both degrading to misses.
-pub const KEY_SCHEMA_VERSION: u32 = 2;
+pub const KEY_SCHEMA_VERSION: u32 = 3;
 
 /// The function-compilation cache: what `warpcc --cache-dir` opens and
 /// the build pipeline (`Build::cache`) consumes.
@@ -251,8 +251,6 @@ impl CacheValue for CachedFunction {
             r.p2.optimized_insts,
             r.p2.opt_visits,
             r.p2.opt_iterations,
-            r.p2.dep_tests,
-            r.p2.dep_edges,
             r.p2.loops,
             r.p2.absint_iterations,
             r.p2.branches_pruned,
@@ -290,8 +288,6 @@ impl CacheValue for CachedFunction {
             &mut p2.optimized_insts,
             &mut p2.opt_visits,
             &mut p2.opt_iterations,
-            &mut p2.dep_tests,
-            &mut p2.dep_edges,
             &mut p2.loops,
             &mut p2.absint_iterations,
             &mut p2.branches_pruned,

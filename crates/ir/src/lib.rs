@@ -2,7 +2,10 @@
 //!
 //! Compiler **phase 2** for the Warp parallel compiler: "construction
 //! of the flowgraph, local optimization, and computation of global
-//! dependencies" (paper §3.2).
+//! dependencies" (paper §3.2). The dependences are computed once, on
+//! the machine-level graph `warp_codegen::mdeps` builds after register
+//! allocation — the graph phase 3 schedules with, which also sees the
+//! anti and output dependences register reuse adds.
 //!
 //! * [`ir`] — the three-address IR over virtual registers and abstract
 //!   arrays, organized as a CFG of basic blocks;
@@ -13,8 +16,6 @@
 //!   removal, iterated to a fixpoint;
 //! * [`dataflow`] — bitsets and iterative liveness analysis;
 //! * [`loops`] — dominators, natural loops, loop nesting depth;
-//! * [`deps`] — data-dependence graphs with ZIV/SIV subscript tests and
-//!   the RecMII bound used by the software pipeliner;
 //! * [`inline`] — procedure inlining, the paper's §5.1 extension for
 //!   programs of many small functions;
 //! * [`phase2`](mod@phase2) — the driver a function master runs, with deterministic
@@ -45,7 +46,6 @@
 
 pub mod absint;
 pub mod dataflow;
-pub mod deps;
 pub mod eval;
 pub mod ifconv;
 pub mod inline;
@@ -58,7 +58,6 @@ pub mod unroll;
 pub mod verify;
 
 pub use absint::{analyze, Analysis, DeadEdge, FactSet, LoopBound, Rewrite, Site};
-pub use deps::{DepEdge, DepGraph, DepKind};
 pub use eval::{eval_ir, EvalOutcome, EvalTrap};
 pub use ifconv::{if_convert, IfConvPolicy, IfConvStats};
 pub use inline::{inline_module, InlinePolicy, InlineStats};
@@ -66,9 +65,6 @@ pub use ir::{ArrayId, Block, BlockId, FuncIr, Inst, IrBinOp, IrType, IrUnOp, Ter
 pub use loops::{Loop, LoopInfo};
 pub use lower::{lower_function, lower_module, LowerError};
 pub use opt::{apply_facts, optimize, optimize_traced, optimize_verified, FactOptStats, OptStats};
-pub use phase2::{
-    phase2, phase2_opts, phase2_traced, phase2_verified, phase2_with_unroll, Phase2Error,
-    Phase2Result, Phase2Work,
-};
+pub use phase2::{phase2, phase2_traced, phase2_verified, Phase2Error, Phase2Result, Phase2Work};
 pub use unroll::{unroll_loops, UnrollPolicy, UnrollStats};
 pub use verify::{verify_after, verify_func, VerifyError};

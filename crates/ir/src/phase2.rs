@@ -1,12 +1,12 @@
-//! Phase-2 driver: lower one function, optimize it, analyze its loops
-//! and dependences, and account for the work done.
+//! Phase-2 driver: lower one function, optimize it, analyze its loops,
+//! and account for the work done.
 //!
 //! This is the first half of what a *function master* executes in the
-//! parallel compiler (paper §3.2); the second half (phase 3, software
-//! pipelining and code generation) lives in `warp-codegen`.
+//! parallel compiler (paper §3.2); the second half (phase 3, dependence
+//! analysis, software pipelining and code generation) lives in
+//! `warp-codegen`.
 
 use crate::absint::{analyze, FactSet};
-use crate::deps::{dep_graph, DepGraph};
 use crate::ifconv::{if_convert, IfConvPolicy, IfConvStats};
 use crate::ir::{BlockId, FuncIr};
 use crate::loops::{analyze_loops, LoopInfo};
@@ -33,10 +33,11 @@ pub struct Phase2Work {
     pub opt_visits: usize,
     /// Optimization pipeline iterations.
     pub opt_iterations: usize,
-    /// Dependence subscript tests performed.
+    /// Always 0: phase 2 builds no dependence graph; phase 3 counts its
+    /// machine-level tests in `Phase3Work::dep_tests`. Kept only because
+    /// the benchmark's `ir.dep_tests` metric reads it, and retired
+    /// together with that metric.
     pub dep_tests: usize,
-    /// Dependence edges produced.
-    pub dep_edges: usize,
     /// Number of loops analyzed.
     pub loops: usize,
     /// Abstract-interpretation worklist iterations (0 when the absint
@@ -56,8 +57,6 @@ impl Phase2Work {
     pub fn units(&self) -> u64 {
         self.lowered_insts as u64 * 4
             + self.opt_visits as u64 * 3
-            + self.dep_tests as u64 * 6
-            + self.dep_edges as u64 * 2
             + self.loops as u64 * 20
             + self.absint_iterations as u64 * 5
     }
@@ -70,8 +69,6 @@ pub struct Phase2Result {
     pub ir: FuncIr,
     /// Loop forest.
     pub loops: LoopInfo,
-    /// Dependence graph for every block, indexed by block.
-    pub block_deps: Vec<DepGraph>,
     /// Optimization statistics.
     pub opt_stats: OptStats,
     /// Loop-unrolling statistics (zero unless unrolling was requested).
@@ -86,18 +83,14 @@ pub struct Phase2Result {
 }
 
 impl Phase2Result {
-    /// The dependence graph of block `b`.
-    pub fn deps_of(&self, b: BlockId) -> &DepGraph {
-        &self.block_deps[b.index()]
-    }
-
     /// `true` if block `b` is a pipelinable (single-block) loop.
     pub fn is_pipeline_loop(&self, b: BlockId) -> bool {
         self.loops.pipelinable_blocks().contains(&b)
     }
 }
 
-/// Runs phase 2 on one function.
+/// Runs phase 2 on one function with no optional optimization (the
+/// published compiler).
 ///
 /// # Errors
 ///
@@ -108,22 +101,11 @@ pub fn phase2(
     symbols: &SymbolTable,
     signatures: &HashMap<String, Signature>,
 ) -> Result<Phase2Result, LowerError> {
-    phase2_opts(func, symbols, signatures, None, None)
-}
-
-/// Phase 2 with optional loop unrolling (the compile-time-for-code-
-/// quality trade of §6) applied after local optimization.
-///
-/// # Errors
-///
-/// Propagates [`LowerError`].
-pub fn phase2_with_unroll(
-    func: &Function,
-    symbols: &SymbolTable,
-    signatures: &HashMap<String, Signature>,
-    unroll: Option<&UnrollPolicy>,
-) -> Result<Phase2Result, LowerError> {
-    phase2_opts(func, symbols, signatures, unroll, None)
+    match phase2_verified(func, symbols, signatures, None, None, false, false) {
+        Ok(r) => Ok(r),
+        Err(Phase2Error::Lower(e)) => Err(e),
+        Err(Phase2Error::Verify(e)) => unreachable!("verification disabled: {e}"),
+    }
 }
 
 /// A phase-2 failure: either lowering rejected the AST or (with
@@ -159,30 +141,13 @@ impl From<VerifyError> for Phase2Error {
     }
 }
 
-/// Phase 2 with all optional optimizations: if-conversion (making
-/// branchy loop bodies pipelinable) runs before unrolling.
-///
-/// # Errors
-///
-/// Propagates [`LowerError`].
-pub fn phase2_opts(
-    func: &Function,
-    symbols: &SymbolTable,
-    signatures: &HashMap<String, Signature>,
-    unroll: Option<&UnrollPolicy>,
-    ifconv: Option<&IfConvPolicy>,
-) -> Result<Phase2Result, LowerError> {
-    match phase2_verified(func, symbols, signatures, unroll, ifconv, false, false) {
-        Ok(r) => Ok(r),
-        Err(Phase2Error::Lower(e)) => Err(e),
-        Err(Phase2Error::Verify(e)) => unreachable!("verification disabled: {e}"),
-    }
-}
-
-/// Phase 2 with the IR verifier run at every pass boundary: after
-/// lowering, after each individual optimization pass, and after
-/// if-conversion, unrolling and the fact-driven absint pass. A
-/// failure names the pass that broke the IR.
+/// Phase 2 with the optional optimizations its arguments select —
+/// if-conversion (making branchy loop bodies pipelinable) runs before
+/// unrolling, then the fact-driven absint pass — and, with
+/// `verify_each_pass`, the IR verifier run at every pass boundary:
+/// after lowering, after each individual optimization pass, and after
+/// if-conversion, unrolling and the absint pass. A failure names the
+/// pass that broke the IR.
 ///
 /// # Errors
 ///
@@ -255,7 +220,7 @@ fn absint_stage(
 /// [`phase2_verified`] with span tracing: records one `"pass"` span
 /// per phase-2 stage (`lower`, each optimization pass via
 /// [`crate::opt::optimize_traced`], `if_convert`, `unroll_loops`,
-/// `analyze_loops`, `dep_graph`), `"absint"` spans for the abstract
+/// `analyze_loops`), `"absint"` spans for the abstract
 /// interpreter and its fact-driven rewrites, and `"verify"` spans for
 /// the per-pass IR verification, all on `track` of `trace`. With a
 /// disabled trace this is exactly [`phase2_verified`].
@@ -358,29 +323,12 @@ pub fn phase2_traced(
         let _span = trace.span("pass", "analyze_loops", track);
         analyze_loops(&ir)
     };
-    let pipelinable = loops.pipelinable_blocks();
-    let mut block_deps = Vec::with_capacity(ir.blocks.len());
-    let mut dep_tests = 0;
-    let mut dep_edges = 0;
-    {
-        let mut span = trace.span("pass", "dep_graph", track);
-        for (bi, block) in ir.blocks.iter().enumerate() {
-            let is_loop = pipelinable.contains(&BlockId(bi as u32));
-            let g = dep_graph(&ir, block, is_loop);
-            dep_tests += g.dep_tests;
-            dep_edges += g.edges.len();
-            block_deps.push(g);
-        }
-        span.arg("dep_tests", dep_tests as f64);
-        span.arg("dep_edges", dep_edges as f64);
-    }
     let work = Phase2Work {
         lowered_insts,
         optimized_insts: ir.inst_count(),
         opt_visits: opt_stats.insts_visited,
         opt_iterations: opt_stats.iterations,
-        dep_tests,
-        dep_edges,
+        dep_tests: 0,
         loops: loops.loops.len(),
         absint_iterations,
         branches_pruned,
@@ -389,7 +337,6 @@ pub fn phase2_traced(
     Ok(Phase2Result {
         ir,
         loops,
-        block_deps,
         opt_stats,
         unroll_stats,
         ifconv_stats,
@@ -421,13 +368,12 @@ mod tests {
     #[test]
     fn phase2_produces_consistent_result() {
         let r = run("t := 0.0; for i := 0 to 15 do t := t + v[i] * x; end; return t;");
-        assert_eq!(r.block_deps.len(), r.ir.blocks.len());
         assert_eq!(r.loops.loops.len(), 1);
         assert!(r.work.units() > 0);
         assert!(r.work.optimized_insts <= r.work.lowered_insts);
+        assert_eq!(r.work.dep_tests, 0);
         let hdr = r.loops.pipelinable_blocks()[0];
         assert!(r.is_pipeline_loop(hdr));
-        assert!(r.deps_of(hdr).carried_edges().count() > 0);
     }
 
     #[test]
@@ -447,7 +393,6 @@ mod tests {
             true,
         )
         .expect("verified phase 2 must pass on valid source");
-        assert_eq!(r.block_deps.len(), r.ir.blocks.len());
         let facts = r.facts.expect("absint requested");
         assert!(r.work.absint_iterations > 0);
         // No division anywhere, every consumed value defined, and the

@@ -18,6 +18,7 @@
 use crate::ir::*;
 use crate::loops::analyze_loops;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use warp_target::isa::CmpKind;
 
 /// Unrolling policy.
@@ -94,6 +95,90 @@ fn const_init(f: &FuncIr, block: BlockId, ivar: VirtReg) -> Option<i32> {
     init
 }
 
+/// Recognizes the induction register of a single-block loop: the unique
+/// register whose value at block exit is its entry value plus a nonzero
+/// constant (`i := i ± c`, possibly through temporaries, possibly
+/// updated several times in an unrolled body).
+///
+/// Returns `(register, total signed step per block iteration)`.
+fn find_induction(block: &Block) -> Option<(VirtReg, i64)> {
+    use std::collections::HashSet;
+    // Symbolic ±constant chains from block-entry values:
+    // expr[r] = (root, delta) means r currently holds root@entry + delta.
+    let mut expr: HashMap<VirtReg, (VirtReg, i64)> = HashMap::new();
+    let mut defined: HashSet<VirtReg> = HashSet::new();
+    for inst in &block.insts {
+        match inst {
+            Inst::Bin {
+                op,
+                ty: IrType::Int,
+                dst,
+                a: Val::Reg(src),
+                b: Val::ConstI(c),
+            } if *op == IrBinOp::Add || *op == IrBinOp::Sub => {
+                let c = if *op == IrBinOp::Add {
+                    *c as i64
+                } else {
+                    -(*c as i64)
+                };
+                let entry = if let Some(&(root, delta)) = expr.get(src) {
+                    Some((root, delta + c))
+                } else if !defined.contains(src) {
+                    Some((*src, c))
+                } else {
+                    None
+                };
+                match entry {
+                    Some(e) => {
+                        expr.insert(*dst, e);
+                    }
+                    None => {
+                        expr.remove(dst);
+                    }
+                }
+                defined.insert(*dst);
+            }
+            Inst::Copy {
+                dst,
+                src: Val::Reg(s),
+            } => {
+                let entry = if let Some(&e) = expr.get(s) {
+                    Some(e)
+                } else if !defined.contains(s) {
+                    Some((*s, 0))
+                } else {
+                    None
+                };
+                match entry {
+                    Some(e) => {
+                        expr.insert(*dst, e);
+                    }
+                    None => {
+                        expr.remove(dst);
+                    }
+                }
+                defined.insert(*dst);
+            }
+            other => {
+                if let Some(d) = other.def() {
+                    expr.remove(&d);
+                    defined.insert(d);
+                }
+            }
+        }
+    }
+    let mut candidates: Vec<(VirtReg, i64)> = expr
+        .iter()
+        .filter(|(r, (root, delta))| *r == root && *delta != 0 && defined.contains(r))
+        .map(|(r, (_, delta))| (*r, *delta))
+        .collect();
+    candidates.sort_by_key(|(r, _)| r.0);
+    if candidates.len() != 1 {
+        return None;
+    }
+    Some(candidates[0])
+}
+
 fn recognize(f: &FuncIr, block: BlockId) -> Option<Counted> {
     let b = &f.blocks[block.index()];
     let Term::Branch { cond, then_blk, .. } = &b.term else {
@@ -102,7 +187,7 @@ fn recognize(f: &FuncIr, block: BlockId) -> Option<Counted> {
     if *then_blk != block {
         return None;
     }
-    let (ivar, step) = crate::deps::find_induction(b)?;
+    let (ivar, step) = find_induction(b)?;
     // Exit compare: last def of the condition register.
     let cond_reg = cond.as_reg()?;
     let cmp_idx = b.insts.iter().rposition(|i| i.def() == Some(cond_reg))?;
@@ -211,6 +296,30 @@ mod tests {
         let mut f = lower_module(&checked).expect("lower").remove(0).1;
         optimize(&mut f, 10);
         f
+    }
+
+    fn loop_block(f: &FuncIr) -> &Block {
+        let li = analyze_loops(f);
+        let hdr = li.pipelinable_blocks()[0];
+        &f.blocks[hdr.index()]
+    }
+
+    #[test]
+    fn induction_variable_found() {
+        let f = lowered("t := 0.0; for i := 0 to 7 do t := t + v[i]; end; return t;");
+        let blk = loop_block(&f);
+        let (reg, step) = find_induction(blk).expect("induction");
+        assert_eq!(step, 1);
+        // The register must be an int.
+        assert_eq!(f.vreg_type(reg), IrType::Int);
+    }
+
+    #[test]
+    fn downto_induction_step_negative() {
+        let f = lowered("t := 0.0; for i := 7 downto 0 do t := t + v[i]; end; return t;");
+        let blk = loop_block(&f);
+        let (_, step) = find_induction(blk).expect("induction");
+        assert_eq!(step, -1);
     }
 
     #[test]
