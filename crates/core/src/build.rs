@@ -258,7 +258,7 @@ impl<'a> Build<'a> {
                     let track = self.track.unwrap_or_else(|| trace.track("worker 0"));
                     drive(&mut Inline::new(&ctx, track))?;
                 }
-                _ => exec::with_threads(&ctx, jobs, drive)?,
+                _ => exec::with_threads(&ctx, jobs, driver, drive)?,
             }
         }
 

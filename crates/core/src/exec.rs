@@ -1,19 +1,17 @@
-//! The work-stealing worker loop and the in-process executors.
+//! The job queue and the in-process executors.
 //!
-//! One worker loop ([`worker_loop`]) serves the compile stage (phases 2
-//! and 3), the only stage that runs in parallel; phases 1 and 4 run on
-//! the master. Each worker drains its own FIFO deque
-//! ([`crossbeam::deque`]) first, then the pool's shared injector, then
-//! steals from its siblings. A worker that finds nothing anywhere is
-//! done and **goes home** — it neither spins nor sleeps on the chance
-//! of more work, so a healthy stage costs no wake-ups; work injected
-//! later is picked up by whoever is still running, and if nobody is,
-//! the injection starts a worker for it.
+//! The compile stage (phases 2 and 3) is the only stage that runs in
+//! parallel; phases 1 and 4 run on the master. Its attempts go through
+//! one [`JobQueue`]: the pipeline pushes them in dispatch (LPT) order,
+//! and every taker — a compile thread here, a farm connection in
+//! [`crate::farm`] — blocks for the head, first come, first served, the
+//! paper's master handing functions to function masters (§4.3). A
+//! retry is one more push, taken by whichever taker is free first.
 //!
-//! [`with_threads`] runs that loop as the compile stage's thread
-//! [`Executor`]: the first batch of attempts is seeded round-robin over
-//! the deques (in the LPT order the pipeline dispatched them), retries
-//! arrive through the injector.
+//! [`with_threads`] runs the compile stage on threads that pull from
+//! that queue the way farm connections do: a thread is spawned at most
+//! once per slot, holds one attempt at a time, and blocks in
+//! [`JobQueue::take`] until the queue is closed at the end of the build.
 //!
 //! [`Executor`] is the whole interface between the build pipeline's
 //! recovery loop ([`crate::build`]) and whatever runs the compiles:
@@ -22,38 +20,22 @@
 //!
 //! # Observability
 //!
-//! With an enabled [`Trace`] the loop records the scheduler events
-//! documented in `docs/TRACING.md`:
-//!
-//! * `sched` **steal** instants on the thief's track (`steal from
-//!   worker V`, `steal from injector`);
-//! * `sched` **idle** instants when a worker finds no work anywhere
-//!   (one per idle episode, not per poll);
-//! * a **`queue w`** counter per worker tracking its deque depth as
-//!   jobs are seeded and drained.
+//! With an enabled [`Trace`] the queue samples a **`queue`** counter —
+//! its depth — on the build's driver track at every push and take, and
+//! when a farm that timed out drops what is left (`docs/TRACING.md`).
 
 use crate::driver::{compile_function_traced, CompileError, CompileOptions};
 use crate::fncache::{function_key, CachedFunction, FnCache};
 use crate::threads::ChaosAction;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 use warp_cache::{CacheKey, InFlight};
 use warp_lang::CheckedModule;
 use warp_obs::{Trace, TrackId};
-
-/// Interns one trace track per worker (`worker 0` … `worker N-1`).
-/// Tracks are interned by name, so repeated calls — and the sequential
-/// driver's own `worker 0` — share rows.
-fn worker_tracks(trace: &Trace, workers: usize) -> Vec<TrackId> {
-    (0..workers)
-        .map(|w| trace.track(&format!("worker {w}")))
-        .collect()
-}
 
 /// Extracts a readable message from a caught panic payload.
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -67,183 +49,139 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// The pool and the one worker loop
+// The job queue
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct PoolState {
-    /// Tasks seeded or injected whose *execution* has not finished yet
-    /// (delivery is separate — a lost result still finishes
-    /// executing). When this hits zero the pool is quiescent: any
-    /// result that has not arrived by then never will.
-    unfinished: usize,
-    /// Workers that have not gone home yet.
-    live: usize,
+struct QueueState {
+    /// Attempts dispatched and not yet taken by a slot.
+    queue: VecDeque<Attempt>,
+    /// Per slot: is it holding an attempt right now?
+    holding: Vec<bool>,
+    /// Slots whose worker can still take an attempt.
+    alive: usize,
+    /// Set once the build is over; every `take` answers `None`.
+    shutdown: bool,
 }
 
-/// Coordination shared by a pool's owner and its workers: the injector
-/// for work that arrives after seeding, the head count that decides
-/// whether an injection needs a new worker, and the owner's quiescence
-/// wait ([`Pool::wait_quiet`]). The per-worker deques live on the
-/// worker threads themselves; only their stealers are shared.
-struct Pool<T> {
-    injector: Injector<T>,
-    state: Mutex<PoolState>,
-    /// Signalled when `unfinished` reaches zero.
-    quiet: Condvar,
-}
-
-impl<T> Pool<T> {
-    fn new() -> Pool<T> {
-        Pool {
-            injector: Injector::new(),
-            state: Mutex::default(),
-            quiet: Condvar::new(),
-        }
-    }
-
-    /// Accounts for `tasks` dealt onto the deques of `workers` workers
-    /// about to start.
-    fn seeded(&self, tasks: usize, workers: usize) {
-        let mut st = self.state.lock().expect("pool lock");
-        st.unfinished += tasks;
-        st.live += workers;
-    }
-
-    /// Injects a task. `true` when every worker has gone home: the
-    /// caller must start one (it is already counted as live).
-    fn submit(&self, task: T) -> bool {
-        let mut st = self.state.lock().expect("pool lock");
-        st.unfinished += 1;
-        self.injector.push(task);
-        let nobody_home = st.live == 0;
-        st.live += usize::from(nobody_home);
-        nobody_home
-    }
-
-    /// A worker finished executing one task (whether or not its result
-    /// was delivered). Must be called *after* the result is sent, so
-    /// that quiescence implies every delivered result is already
-    /// buffered.
-    fn finish_one(&self) {
-        let mut st = self.state.lock().expect("pool lock");
-        st.unfinished -= 1;
-        if st.unfinished == 0 {
-            self.quiet.notify_all();
-        }
-    }
-
-    /// Blocks until every seeded and injected task has finished
-    /// executing — the point after which a missing result is a *lost*
-    /// result, not a slow one.
-    fn wait_quiet(&self) {
-        let mut st = self.state.lock().expect("pool lock");
-        while st.unfinished > 0 {
-            st = self.quiet.wait(st).expect("pool lock");
-        }
-    }
-
-    /// An idle worker asks to go home. Refused (`false`) when the
-    /// injector has work after all; deciding under the lock that
-    /// [`Pool::submit`] pushes under means an injected task is always
-    /// seen either by a worker on its way out or by the head count.
-    /// (Sibling deques never grow after seeding, so a sweep in which
-    /// every steal answered `Empty` — the worker loop re-sweeps after
-    /// any `Retry` — cannot miss local work; only the injector can
-    /// produce more.)
-    fn retire(&self) -> bool {
-        let mut st = self.state.lock().expect("pool lock");
-        let done = self.injector.is_empty();
-        st.live -= usize::from(done);
-        done
-    }
-}
-
-/// Seeds `tasks` round-robin over `workers` FIFO deques (pass an
-/// LPT-sorted list to spread the expensive heads across workers) and
-/// samples each `queue w` counter once.
-fn seed<T>(
-    workers: usize,
-    tasks: impl IntoIterator<Item = T>,
-    tracks: &[TrackId],
-    trace: &Trace,
-) -> (Vec<Worker<T>>, Vec<Stealer<T>>) {
-    let locals: Vec<Worker<T>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    let stealers = locals.iter().map(Worker::stealer).collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        locals[i % workers].push(task);
-    }
-    if trace.is_enabled() {
-        let ts = trace.now_ns();
-        for (w, local) in locals.iter().enumerate() {
-            let track = tracks.get(w).copied().unwrap_or(TrackId(0));
-            trace.counter(format!("queue {w}"), track, ts, local.len() as f64);
-        }
-    }
-    (locals, stealers)
-}
-
-/// The worker loop: pull continuously — local deque first, then the
-/// pool's injector, then the siblings — and go home when all three
-/// are empty.
-fn worker_loop<T>(
-    w: usize,
-    local: &Worker<T>,
-    stealers: &[Stealer<T>],
-    pool: &Pool<T>,
-    trace: &Trace,
+/// The one queue both parallel executors pull from. The pipeline's
+/// thread pushes attempts; each of the queue's slots (a compile thread,
+/// a farm connection) takes the head, holds it until it has delivered
+/// the outcome, and releases it.
+pub(crate) struct JobQueue<'a> {
+    st: Mutex<QueueState>,
+    /// Signalled on every change: push, take, release, lose, close.
+    cv: Condvar,
+    trace: &'a Trace,
+    /// The build's driver track, where the `queue` counter lives.
     track: TrackId,
-    mut run: impl FnMut(T),
-) {
-    let mut was_idle = false;
-    loop {
-        // A steal that lost a race (`Steal::Retry`) says nothing about
-        // whether its queue is empty: note it and sweep again rather
-        // than going home past a sibling's full deque.
-        let mut contended = false;
-        let mut steal = |s: Steal<T>| {
-            contended |= matches!(s, Steal::Retry);
-            s.success()
-        };
-        let mut task = local.pop();
-        if task.is_none() {
-            task = steal(pool.injector.steal());
-            if task.is_some() && trace.is_enabled() {
-                trace.instant_now("sched", "steal from injector", track);
-            }
+}
+
+impl<'a> JobQueue<'a> {
+    /// An open, empty queue with `slots` takers, all alive.
+    pub(crate) fn new(slots: usize, trace: &'a Trace, track: TrackId) -> JobQueue<'a> {
+        JobQueue {
+            st: Mutex::new(QueueState {
+                queue: VecDeque::new(),
+                holding: vec![false; slots],
+                alive: slots,
+                shutdown: false,
+            }),
+            cv: Condvar::new(),
+            trace,
+            track,
         }
-        if task.is_none() {
-            for off in 1..stealers.len() {
-                let victim = (w + off) % stealers.len();
-                if let Some(t) = steal(stealers[victim].steal()) {
-                    if trace.is_enabled() {
-                        trace.instant_now("sched", format!("steal from worker {victim}"), track);
+    }
+
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.st.lock().expect("queue lock")
+    }
+
+    /// Samples the `queue` counter. Called under the lock, so the
+    /// samples come in the order of the changes they record.
+    fn sample(&self, st: &QueueState) {
+        let depth = st.queue.len() as f64;
+        self.trace
+            .counter("queue", self.track, self.trace.now_ns(), depth);
+    }
+
+    pub(crate) fn push(&self, attempt: Attempt) {
+        let mut st = self.lock();
+        st.queue.push_back(attempt);
+        self.sample(&st);
+        self.cv.notify_all();
+    }
+
+    /// Blocks slot `k` until there is an attempt for it; `None` once
+    /// the queue is closed.
+    pub(crate) fn take(&self, k: usize) -> Option<Attempt> {
+        let mut st = self.lock();
+        loop {
+            if st.shutdown {
+                return None;
+            }
+            if let Some(attempt) = st.queue.pop_front() {
+                st.holding[k] = true;
+                self.sample(&st);
+                return Some(attempt);
+            }
+            st = self.cv.wait(st).expect("queue lock");
+        }
+    }
+
+    /// Slot `k` is done with its attempt — the outcome is already in
+    /// the channel, so an idle queue has nothing left to deliver.
+    pub(crate) fn release(&self, k: usize) {
+        self.lock().holding[k] = false;
+        self.cv.notify_all();
+    }
+
+    /// A slot's worker is lost: it takes no further attempt.
+    pub(crate) fn lose(&self) {
+        self.lock().alive -= 1;
+        self.cv.notify_all();
+    }
+
+    /// Slots whose worker can still take an attempt.
+    pub(crate) fn alive(&self) -> usize {
+        self.lock().alive
+    }
+
+    /// Ends the build: every blocked and every later `take` answers
+    /// `None`.
+    pub(crate) fn close(&self) {
+        self.lock().shutdown = true;
+        self.cv.notify_all();
+    }
+
+    /// Drops every attempt no slot has taken and returns the slots
+    /// still holding one.
+    pub(crate) fn abandon(&self) -> Vec<usize> {
+        let mut st = self.lock();
+        if !st.queue.is_empty() {
+            st.queue.clear();
+            self.sample(&st);
+        }
+        (0..st.holding.len()).filter(|&k| st.holding[k]).collect()
+    }
+
+    /// Blocks until the queue is idle — empty (or with nobody alive to
+    /// take what is left) and no slot holding an attempt — or until
+    /// `deadline` passes; `false` then.
+    pub(crate) fn wait_idle(&self, deadline: Option<Instant>) -> bool {
+        let mut st = self.lock();
+        while st.holding.contains(&true) || (!st.queue.is_empty() && st.alive > 0) {
+            st = match deadline {
+                None => self.cv.wait(st).expect("queue lock"),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return false;
                     }
-                    task = Some(t);
-                    break;
+                    self.cv.wait_timeout(st, left).expect("queue lock").0
                 }
-            }
+            };
         }
-        let Some(task) = task else {
-            if contended {
-                continue;
-            }
-            if !was_idle {
-                was_idle = true;
-                trace.instant_now("sched", "idle", track);
-            }
-            if pool.retire() {
-                return;
-            }
-            continue;
-        };
-        was_idle = false;
-        if trace.is_enabled() {
-            let depth = local.len() as f64;
-            trace.counter(format!("queue {w}"), track, trace.now_ns(), depth);
-        }
-        run(task);
-        pool.finish_one();
+        true
     }
 }
 
@@ -462,102 +400,84 @@ impl Executor for Inline<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Threads: the work-stealing pool
+// Threads: compile threads on the job queue
 // ---------------------------------------------------------------------------
 
-/// The thread executor. Attempts dispatched before the first
-/// [`Executor::next`] are the seed batch: they are dealt round-robin
-/// onto the workers' own deques and the workers spawned — at most one
-/// per seeded attempt. Everything dispatched later is a retry and goes
-/// through the injector, to whoever is still running — or, when every
-/// worker has gone home, to one started for it.
+/// The thread executor. Every dispatch pushes the attempt onto the
+/// queue and, while fewer than `jobs` threads exist, starts one more on
+/// track `worker k`: a build starts at most one thread per dispatched
+/// attempt, and a fully warm build starts none. Section masters are
+/// folded into the pool: each thread plays function master for
+/// successive functions.
 struct Threads<'scope, 'env> {
     scope: &'scope Scope<'scope, 'env>,
     ctx: &'env Ctx<'env>,
-    pool: &'env Pool<Attempt>,
-    workers: usize,
-    /// The seed batch until the pool starts; `None` once it runs.
-    seeds: Option<Vec<Attempt>>,
-    stealers: Arc<Vec<Stealer<Attempt>>>,
-    tracks: Vec<TrackId>,
+    queue: &'env JobQueue<'env>,
+    jobs: usize,
+    spawned: usize,
     done_tx: Sender<(usize, Outcome)>,
     done_rx: Receiver<(usize, Outcome)>,
 }
 
-impl Threads<'_, '_> {
-    /// Starts worker `w` on `local`. Section masters are folded into
-    /// the pool: each worker plays function master for successive
-    /// functions.
-    fn spawn(&self, w: usize, local: Worker<Attempt>) {
-        let (ctx, pool, track) = (self.ctx, self.pool, self.tracks[w]);
-        let (stealers, done_tx) = (self.stealers.clone(), self.done_tx.clone());
+impl Executor for Threads<'_, '_> {
+    fn dispatch(&mut self, job: usize, attempt: usize, action: ChaosAction) {
+        self.queue.push((job, attempt, action));
+        if self.spawned == self.jobs {
+            return;
+        }
+        let (k, ctx, queue, done_tx) = (self.spawned, self.ctx, self.queue, self.done_tx.clone());
+        let track = ctx.trace.track(&format!("worker {k}"));
         self.scope.spawn(move || {
-            worker_loop(w, &local, &stealers, pool, ctx.trace, track, |a| {
+            while let Some(a) = queue.take(k) {
                 if let Some(done) = ctx.attempt(a, track) {
                     let _ = done_tx.send(done);
                 }
-            });
+                queue.release(k);
+            }
         });
-    }
-
-    fn start(&mut self) {
-        let Some(seeds) = self.seeds.take() else {
-            return;
-        };
-        let size = self.workers.min(seeds.len()).max(1);
-        self.tracks = worker_tracks(self.ctx.trace, size);
-        self.pool.seeded(seeds.len(), size);
-        let (locals, stealers) = seed(size, seeds, &self.tracks, self.ctx.trace);
-        self.stealers = Arc::new(stealers);
-        for (w, local) in locals.into_iter().enumerate() {
-            self.spawn(w, local);
-        }
-    }
-}
-
-impl Executor for Threads<'_, '_> {
-    fn dispatch(&mut self, job: usize, attempt: usize, action: ChaosAction) {
-        match &mut self.seeds {
-            Some(seeds) => seeds.push((job, attempt, action)),
-            // Nobody home means nobody is `worker 0` any more either.
-            None if self.pool.submit((job, attempt, action)) => self.spawn(0, Worker::new_fifo()),
-            None => {}
-        }
+        self.spawned += 1;
     }
 
     fn next(&mut self, timeout: Duration) -> Option<(usize, Outcome)> {
-        self.start();
         self.done_rx.recv_timeout(timeout).ok()
     }
 
+    /// A stalled thread always wakes, so waiting without a deadline
+    /// cannot hang.
     fn quiesce(&mut self) {
-        self.start();
-        self.pool.wait_quiet();
+        self.queue.wait_idle(None);
     }
 
     fn alive(&self) -> usize {
-        self.workers
+        self.queue.alive()
     }
 }
 
-/// Runs `body` against a pool of up to `workers` compile threads and
-/// joins it.
+impl Drop for Threads<'_, '_> {
+    /// Closes the queue once `body` is done with the executor, so the
+    /// scope can join the threads — even when `body` panicked.
+    fn drop(&mut self) {
+        self.queue.close();
+    }
+}
+
+/// Runs `body` against up to `jobs` compile threads pulling from one
+/// [`JobQueue`] whose `queue` counter lands on `track`, and joins them.
 pub(crate) fn with_threads<R>(
     ctx: &Ctx<'_>,
-    workers: usize,
+    jobs: usize,
+    track: TrackId,
     body: impl FnOnce(&mut dyn Executor) -> R,
 ) -> R {
-    let pool = Pool::new();
+    let queue = JobQueue::new(jobs, ctx.trace, track);
     let (done_tx, done_rx) = channel();
     std::thread::scope(|scope| {
         body(&mut Threads {
             scope,
             ctx,
-            pool: &pool,
-            workers,
-            seeds: Some(Vec::new()),
-            stealers: Arc::default(),
-            tracks: Vec::new(),
+            queue: &queue,
+            jobs,
+            spawned: 0,
             done_tx,
             done_rx,
         })
@@ -599,63 +519,95 @@ mod tests {
         ));
     }
 
+    fn attempt(job: usize) -> Attempt {
+        (job, 0, ChaosAction::None)
+    }
+
+    fn soon() -> Option<Instant> {
+        Some(Instant::now() + Duration::from_millis(50))
+    }
+
     #[test]
-    fn sched_instants_and_queue_counters_are_recorded() {
-        let bodies: String = (0..32)
-            .map(|i| format!("function f{i}() begin end; "))
-            .collect();
-        let src = format!("module m; section s on cells 0..0; {bodies}end;");
-        let (checked, _, _) = crate::driver::run_phase1(&src).expect("phase 1");
-        let fns: Vec<(usize, usize)> = (0..32).map(|fi| (0, fi)).collect();
-        let names: Vec<String> = (0..32).map(|i| format!("f{i}")).collect();
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        let trace = Trace::new(warp_obs::ClockDomain::Monotonic);
-        let ctx = Ctx {
-            checked: &checked,
-            source: &src,
-            opts: &CompileOptions::default(),
-            fns: &fns,
-            names: &names,
-            cache: None,
-            inflight: None,
-            keys: &[],
-            options_fp: 0,
-            trace: &trace,
-            stall_for: Duration::from_millis(2),
-        };
-        let delivered = with_threads(&ctx, 4, |ex| {
-            for job in 0..32 {
-                let action = if job % 4 == 0 {
-                    ChaosAction::Stall
-                } else {
-                    ChaosAction::None
-                };
-                ex.dispatch(job, 0, action);
+    fn take_returns_attempts_in_push_order() {
+        let trace = Trace::disabled();
+        let queue = JobQueue::new(1, &trace, TrackId(0));
+        for job in 0..4 {
+            queue.push(attempt(job));
+        }
+        for job in 0..4 {
+            assert_eq!(queue.take(0), Some(attempt(job)));
+            queue.release(0);
+        }
+    }
+
+    #[test]
+    fn a_late_push_is_taken_by_a_blocked_slot() {
+        let trace = Trace::disabled();
+        let queue = JobQueue::new(2, &trace, TrackId(0));
+        queue.push(attempt(0));
+        queue.push(attempt(1));
+        let (tx, rx) = channel();
+        std::thread::scope(|scope| {
+            for k in 0..2 {
+                let (queue, tx) = (&queue, tx.clone());
+                scope.spawn(move || {
+                    while let Some((job, ..)) = queue.take(k) {
+                        tx.send(job).expect("send");
+                        queue.release(k);
+                    }
+                });
             }
-            let mut delivered = 0;
-            while let Some((_, outcome)) = ex.next(Duration::from_secs(10)) {
-                assert!(matches!(outcome, Outcome::Done(..)));
-                delivered += 1;
-                if delivered == 32 {
-                    break;
-                }
-            }
-            ex.quiesce();
-            delivered
+            let mut first = [rx.recv().expect("job"), rx.recv().expect("job")];
+            first.sort_unstable();
+            assert_eq!(first, [0, 1]);
+            // Both slots drained the first batch and hold nothing: the
+            // retry below can only reach one blocked in `take`.
+            assert!(queue.wait_idle(None));
+            queue.push(attempt(2));
+            assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(2));
+            queue.close();
         });
-        assert_eq!(delivered, 32);
-        let snap = trace.snapshot();
-        assert!(
-            snap.counters.iter().any(|c| c.name.starts_with("queue ")),
-            "queue-depth counters recorded"
-        );
-        // Steal/idle instants are timing-dependent, but with stalled
-        // jobs on a seeded share at least one worker must have gone
-        // hunting or idle at some point.
-        assert!(
-            snap.instants.iter().any(|i| i.cat == "sched"),
-            "sched instants recorded: {:?}",
-            snap.instants
-        );
+    }
+
+    #[test]
+    fn close_wakes_every_blocked_take() {
+        let trace = Trace::disabled();
+        let queue = JobQueue::new(3, &trace, TrackId(0));
+        std::thread::scope(|scope| {
+            let takers: Vec<_> = (0..3)
+                .map(|k| {
+                    let queue = &queue;
+                    scope.spawn(move || queue.take(k))
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(10));
+            queue.close();
+            for taker in takers {
+                assert_eq!(taker.join().expect("taker"), None);
+            }
+        });
+    }
+
+    #[test]
+    fn a_held_attempt_keeps_the_queue_busy_until_released() {
+        let trace = Trace::disabled();
+        let queue = JobQueue::new(1, &trace, TrackId(0));
+        queue.push(attempt(0));
+        assert_eq!(queue.take(0), Some(attempt(0)));
+        assert!(!queue.wait_idle(soon()));
+        queue.release(0);
+        assert!(queue.wait_idle(soon()));
+    }
+
+    #[test]
+    fn a_queue_nobody_alive_can_take_from_is_idle() {
+        let trace = Trace::disabled();
+        let queue = JobQueue::new(2, &trace, TrackId(0));
+        queue.push(attempt(0));
+        assert!(!queue.wait_idle(soon()));
+        queue.lose();
+        queue.lose();
+        assert_eq!(queue.alive(), 0);
+        assert!(queue.wait_idle(None));
     }
 }

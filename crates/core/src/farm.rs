@@ -21,7 +21,8 @@
 //!   to.
 //!
 //! There is no static assignment: one connection thread per worker
-//! pulls the next attempt from the single queue the pipeline feeds, so
+//! takes the next attempt from the job queue the pipeline feeds —
+//! the same queue the thread executor's compile threads pull from — so
 //! a worker that finishes early takes load off the laggards, and a
 //! lost worker's attempt simply comes back as crashed and is
 //! re-dispatched to whoever is alive.
@@ -49,15 +50,13 @@
 //! [`ModuleImage`]: warp_target::program::ModuleImage
 //! [`ChaosPlan`]: crate::threads::ChaosPlan
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use warp_cache::{CacheKey, CacheValue};
@@ -70,7 +69,7 @@ use crate::build::{Build, BuildReport, FarmCensus};
 use crate::driver::{
     compile_function_traced, prepare, CompileError, CompileOptions, CompileResult,
 };
-use crate::exec::{probe, Attempt, Ctx, Executor, Outcome};
+use crate::exec::{probe, Ctx, Executor, JobQueue, Outcome};
 use crate::fncache::{function_key, options_fingerprint, CachedFunction, FnCache};
 use crate::threads::ChaosAction;
 
@@ -322,67 +321,23 @@ fn encode_welcome(
 // Coordinator: the farm executor
 // ---------------------------------------------------------------------------
 
-struct HubState {
-    /// Attempts dispatched and not yet taken by a connection.
-    queue: VecDeque<Attempt>,
-    /// Per connection: is it holding an attempt right now?
-    holding: Vec<bool>,
-    /// Connections whose worker can still take an attempt.
-    alive: usize,
-    /// Set once the build is over; connection threads say `bye`.
-    shutdown: bool,
-    hash_shipped: usize,
-    bytes_shipped: usize,
-}
-
-/// What the pipeline's thread and the connection threads share.
-struct Hub {
-    st: Mutex<HubState>,
-    /// Signalled on every change: dispatch, take, release, shutdown.
-    cv: Condvar,
-}
-
-impl Hub {
-    /// Blocks connection `k` until there is an attempt for it; `None`
-    /// once the build is over.
-    fn take(&self, k: usize) -> Option<Attempt> {
-        let mut st = self.st.lock().expect("farm lock");
-        loop {
-            if st.shutdown {
-                return None;
-            }
-            if let Some(attempt) = st.queue.pop_front() {
-                st.holding[k] = true;
-                return Some(attempt);
-            }
-            st = self.cv.wait(st).expect("farm lock");
-        }
-    }
-
-    /// Connection `k` is done with its attempt — the outcome is already
-    /// in the channel, so a quiet farm has nothing left to deliver.
-    fn release(&self, k: usize) {
-        self.st.lock().expect("farm lock").holding[k] = false;
-        self.cv.notify_all();
-    }
-}
-
 /// The farm [`Executor`]: the queue the pipeline feeds, the channel the
 /// connection threads answer on, and a second handle on every socket so
 /// a wedged worker can be hung up on from here.
 struct Farm<'a> {
-    hub: &'a Hub,
+    queue: &'a JobQueue<'a>,
     hang_ups: Vec<UnixStream>,
     done_rx: Receiver<(usize, Outcome)>,
     job_timeout: Duration,
 }
 
 impl Farm<'_> {
-    /// Hangs up on every worker still holding an attempt: its
-    /// connection thread sees the socket die, SIGKILLs and reaps the
-    /// process, and reports the attempt crashed.
-    fn hang_up_on_holders(&self, st: &HubState) {
-        for (k, _) in st.holding.iter().enumerate().filter(|(_, &h)| h) {
+    /// Drops what no worker has picked up and hangs up on every worker
+    /// still holding an attempt: its connection thread sees the socket
+    /// die, SIGKILLs and reaps the process, and reports the attempt
+    /// crashed.
+    fn abandon(&self) {
+        for k in self.queue.abandon() {
             let _ = self.hang_ups[k].shutdown(Shutdown::Both);
         }
     }
@@ -390,9 +345,7 @@ impl Farm<'_> {
 
 impl Executor for Farm<'_> {
     fn dispatch(&mut self, job: usize, attempt: usize, action: ChaosAction) {
-        let mut st = self.hub.st.lock().expect("farm lock");
-        st.queue.push_back((job, attempt, action));
-        self.hub.cv.notify_all();
+        self.queue.push((job, attempt, action));
     }
 
     fn next(&mut self, timeout: Duration) -> Option<(usize, Outcome)> {
@@ -400,29 +353,27 @@ impl Executor for Farm<'_> {
     }
 
     /// Waits at most one further `job_timeout` for the farm to go quiet
-    /// by itself; then drops what no worker has picked up and kills
-    /// every worker still holding an attempt, so a wedged process can
+    /// by itself; then abandons the queue, so a wedged process can
     /// never hang a build.
     fn quiesce(&mut self) {
         let deadline = Instant::now() + self.job_timeout;
-        let busy = |st: &HubState| st.holding.contains(&true);
-        let mut st = self.hub.st.lock().expect("farm lock");
-        while busy(&st) || (!st.queue.is_empty() && st.alive > 0) {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                st.queue.clear();
-                self.hang_up_on_holders(&st);
-                while busy(&st) {
-                    st = self.hub.cv.wait(st).expect("farm lock");
-                }
-                return;
-            }
-            st = self.hub.cv.wait_timeout(st, left).expect("farm lock").0;
+        if !self.queue.wait_idle(Some(deadline)) {
+            self.abandon();
+            self.queue.wait_idle(None);
         }
     }
 
     fn alive(&self) -> usize {
-        self.hub.st.lock().expect("farm lock").alive
+        self.queue.alive()
+    }
+}
+
+impl Drop for Farm<'_> {
+    /// The build is over: idle connections say goodbye, and whoever
+    /// still holds an attempt (an aborted build) is hung up on.
+    fn drop(&mut self) {
+        self.queue.close();
+        self.abandon();
     }
 }
 
@@ -536,40 +487,28 @@ pub(crate) fn with_farm<R>(
     }
     census.spawned = conns.len();
 
-    let hub = Hub {
-        st: Mutex::new(HubState {
-            queue: VecDeque::new(),
-            holding: vec![false; conns.len()],
-            alive: conns.len(),
-            shutdown: false,
-            hash_shipped: 0,
-            bytes_shipped: 0,
-        }),
-        cv: Condvar::new(),
-    };
+    let queue = JobQueue::new(conns.len(), trace, coord);
+    // Objects that came back by hash, and as bytes.
+    let shipped = [AtomicUsize::new(0), AtomicUsize::new(0)];
     let (done_tx, done_rx) = channel();
     let out = std::thread::scope(|scope| {
         for (k, (stream, w)) in conns.into_iter().enumerate() {
-            let (hub, child, done_tx) = (&hub, children[w].take(), done_tx.clone());
+            let (queue, shipped) = (&queue, &shipped);
+            let (child, done_tx) = (children[w].take(), done_tx.clone());
             let track = trace.track(&format!("farm worker {w}"));
-            scope.spawn(move || connection(k, w, stream, child, hub, ctx, cache, &done_tx, track));
+            scope.spawn(move || {
+                connection(
+                    k, w, stream, child, queue, ctx, cache, shipped, &done_tx, track,
+                );
+            });
         }
         drop(done_tx);
-        let mut farm = Farm {
-            hub: &hub,
+        body(&mut Farm {
+            queue: &queue,
             hang_ups,
             done_rx,
             job_timeout,
-        };
-        let out = body(&mut farm);
-        // The build is over: idle connections say goodbye, and whoever
-        // still holds an attempt (an aborted build) is hung up on.
-        let mut st = hub.st.lock().expect("farm lock");
-        st.shutdown = true;
-        farm.hang_up_on_holders(&st);
-        hub.cv.notify_all();
-        drop(st);
-        out
+        })
     });
 
     // Reap stragglers the connection threads did not own (workers
@@ -577,33 +516,32 @@ pub(crate) fn with_farm<R>(
     for c in children.iter_mut().flatten() {
         reap(c, Duration::from_millis(100));
     }
-    let st = hub.st.into_inner().expect("farm lock");
-    census.lost = census.spawned - st.alive;
-    census.hash_shipped = st.hash_shipped;
-    census.bytes_shipped = st.bytes_shipped;
+    census.lost = census.spawned - queue.alive();
+    [census.hash_shipped, census.bytes_shipped] = shipped.map(AtomicUsize::into_inner);
     Ok(out)
 }
 
-/// One connection thread: pulls attempts from the hub, ships each to
-/// worker `w`, and answers with its [`Outcome`]. The worker dying under
-/// an attempt — killed by chaos, hung up on by the master, or gone by
-/// itself — is that attempt's `Crashed` and the end of this connection.
-/// Owns (and always reaps) the worker's `Child`.
+/// One connection thread: takes attempts from the queue as slot `k`,
+/// ships each to worker `w`, and answers with its [`Outcome`]. The
+/// worker dying under an attempt — killed by chaos, hung up on by the
+/// master, or gone by itself — is that attempt's `Crashed` and the end
+/// of this connection. Owns (and always reaps) the worker's `Child`.
 #[allow(clippy::too_many_arguments)]
 fn connection(
     k: usize,
     w: usize,
     mut stream: UnixStream,
     mut child: Option<Child>,
-    hub: &Hub,
+    queue: &JobQueue<'_>,
     ctx: &Ctx<'_>,
     cache: &FnCache,
+    shipped: &[AtomicUsize; 2],
     done_tx: &Sender<(usize, Outcome)>,
     track: TrackId,
 ) {
     let trace = ctx.trace;
     let in_flight = format!("farm in-flight {w}");
-    while let Some((job, attempt, action)) = hub.take(k) {
+    while let Some((job, attempt, action)) = queue.take(k) {
         let (si, fi) = ctx.fns[job];
         let key = ctx.keys[job];
         let (chaos, stall_ms) = match action {
@@ -633,7 +571,7 @@ fn connection(
             }
         }
         // `None`: the worker is gone (or broke protocol).
-        let reply = sent.then(|| read_reply(&mut stream, job, key, cache, hub));
+        let reply = sent.then(|| read_reply(&mut stream, job, key, cache, shipped));
         let reply = reply.flatten();
         trace.counter(&in_flight, track, trace.now_ns(), 0.0);
         let lost = reply.is_none();
@@ -658,10 +596,10 @@ fn connection(
         // only after delivering (a quiet farm implies every outcome is
         // already in the channel).
         if lost {
-            hub.st.lock().expect("farm lock").alive -= 1;
+            queue.lose();
         }
         let _ = done_tx.send((job, outcome));
-        hub.release(k);
+        queue.release(k);
         if lost {
             break;
         }
@@ -686,7 +624,7 @@ fn read_reply(
     job: usize,
     key: CacheKey,
     cache: &FnCache,
-    hub: &Hub,
+    shipped: &[AtomicUsize; 2],
 ) -> Option<Result<CachedFunction, String>> {
     loop {
         let msg = read_message(stream, MAX_FRAME_DEFAULT, || true)
@@ -708,12 +646,7 @@ fn read_reply(
                     cache.store(key, cf.clone());
                     cf
                 };
-                let mut st = hub.st.lock().expect("farm lock");
-                if via_hash {
-                    st.hash_shipped += 1;
-                } else {
-                    st.bytes_shipped += 1;
-                }
+                shipped[usize::from(!via_hash)].fetch_add(1, Ordering::Relaxed);
                 return Some(Ok(cf));
             }
             Some("fail") => {

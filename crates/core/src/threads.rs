@@ -1,21 +1,22 @@
-//! Real parallel compilation with OS threads on a work-stealing
-//! scheduler, and the fault model shared by every executor.
+//! Real parallel compilation with OS threads pulling from one job
+//! queue, and the fault model shared by every executor.
 //!
 //! The same master / section-master / function-master structure as the
 //! simulated 1989 system, executed with actual parallelism on the host
 //! machine. As in the paper, phases 1 and 4 run on the master and
-//! phases 2–3 run one function per stealing worker — bit-identical to
-//! the sequential compiler.
+//! phases 2–3 run one function at a time per compile thread —
+//! bit-identical to the sequential compiler.
 //!
 //! [`compile_parallel`] and [`compile_parallel_cached`] are
 //! constructors over [`crate::build::Build`], which runs the one
-//! pipeline on the work-stealing thread executor (`exec.rs`)
-//! when `jobs >= 2` (`docs/PARALLELISM.md`).
+//! pipeline on the thread executor (`exec.rs`) when `jobs >= 2`
+//! (`docs/PARALLELISM.md`). Its threads take attempts first come,
+//! first served from the same queue the farm's connections take from.
 //!
 //! Jobs are dispatched in decreasing a-priori cost estimate (LoC ×
 //! nesting, §4.3) rather than source order ([`lpt_dispatch_order`]),
 //! so the largest function starts compiling first and can never be the
-//! one job left running after every other worker drained the queues.
+//! one job left running after every other worker drained the queue.
 //!
 //! # Fault tolerance
 //!

@@ -83,7 +83,7 @@ fn fig6_workload_is_bit_identical_every_way() {
 
 #[test]
 fn chaos_matrix_is_bit_identical_across_workers_and_cache_temperature() {
-    // The full determinism matrix the work-stealing executor must
+    // The full determinism matrix the thread executor must
     // survive: 1/2/4/8 workers × {cold, warm cache} × the eight CI
     // chaos seeds. Warm runs take pure cache hits, so faults there
     // only strike the (empty) compile set — the interesting half is

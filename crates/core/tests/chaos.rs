@@ -91,8 +91,8 @@ fn fast_policy() -> RetryPolicy {
 fn seeded_chaos_is_bit_identical_for_every_matrix_seed() {
     let opts = CompileOptions::default();
     let src = synthetic_program(FunctionSize::Medium, 8);
-    // Worker-count sweep × the seed matrix: the work-stealing executor
-    // must reproduce the sequential bits at every pool width.
+    // Worker-count sweep × the seed matrix: the thread executor must
+    // reproduce the sequential bits at every pool width.
     for workers in [1, 2, 4, 8] {
         for seed in seeds() {
             let chaos = ChaosPlan::from_seed(seed);

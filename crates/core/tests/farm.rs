@@ -259,5 +259,15 @@ fn every_executor_verifies_the_linked_module() {
             1,
             "{what}: one `{wanted}` verify span"
         );
+        if farm.is_some() {
+            let coord = snap.tracks.iter().position(|t| t == "farm coordinator");
+            let queue: Vec<_> = snap.counters.iter().filter(|c| c.name == "queue").collect();
+            assert!(queue.iter().all(|c| Some(c.track.0 as usize) == coord));
+            assert_eq!(
+                queue.last().map(|c| c.value),
+                Some(0.0),
+                "farm queue drains"
+            );
+        }
     }
 }
