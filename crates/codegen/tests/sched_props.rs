@@ -106,6 +106,15 @@ proptest! {
     }
 
     #[test]
+    fn adjacency_lists_match_the_edge_scan(block in block_strategy(), is_loop in any::<bool>()) {
+        let graph = mdep_graph(&block, is_loop);
+        for i in 0..graph.n {
+            prop_assert!(graph.preds_of(i).eq(graph.edges.iter().filter(|e| e.to == i)));
+            prop_assert!(graph.succs_of(i).eq(graph.edges.iter().filter(|e| e.from == i)));
+        }
+    }
+
+    #[test]
     fn schedules_are_deterministic(block in block_strategy()) {
         let g1 = mdep_graph(&block, false);
         let g2 = mdep_graph(&block, false);

@@ -1,4 +1,4 @@
-//! Golden file pinning the compiled code bytes.
+//! Golden files pinning the compiled code bytes and the phase-3 search.
 //!
 //! Every `examples/*.w2`, the `f_huge` benchmark function and the §4.3
 //! user program are compiled under two option sets: the published
@@ -8,7 +8,13 @@
 //! `tests/golden/code_hashes.txt`: the code words of the linked image,
 //! the length of its `download::encode` bytes and their FNV-1a 64. A
 //! change that claims to leave the generated code alone must leave this
-//! file alone. Regenerate with:
+//! file alone.
+//!
+//! Each function of each pair also becomes one line of
+//! `tests/golden/phase3_work.txt`: every `Phase3Work` counter. Equal
+//! bytes can hide a different search (other IIs tried, other probe
+//! counts); a change that claims the same search must leave this file
+//! alone too. Regenerate both with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test code_golden
@@ -20,6 +26,7 @@ use warp_target::download;
 use warp_workload::{synthetic_program, user_program, FunctionSize};
 
 const GOLDEN: &str = "tests/golden/code_hashes.txt";
+const WORK_GOLDEN: &str = "tests/golden/phase3_work.txt";
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -58,10 +65,27 @@ fn sources(root: &Path) -> Vec<(String, String)> {
     examples
 }
 
+/// Compares `report` with the golden file at `path`, or rewrites the
+/// file under `UPDATE_GOLDEN`.
+fn check_golden(root: &Path, path: &str, report: &str) {
+    let golden_path = root.join(path);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&golden_path, report).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&golden_path)
+        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
+    assert_eq!(
+        report, golden,
+        "output drifted from {path} — rerun with UPDATE_GOLDEN=1 and review the diff"
+    );
+}
+
 #[test]
 fn compiled_code_matches_golden_file() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut report = String::new();
+    let mut work = String::new();
     for (name, src) in sources(root) {
         for (opts_name, opts) in option_sets() {
             let r = compile_module_source(&src, &opts)
@@ -78,18 +102,14 @@ fn compiled_code_matches_golden_file() {
                 bytes.len(),
                 fnv1a64(&bytes)
             ));
+            for rec in &r.records {
+                work.push_str(&format!(
+                    "{name} {opts_name} {}:{} {:?}\n",
+                    rec.section, rec.name, rec.p3
+                ));
+            }
         }
     }
-
-    let golden_path = root.join(GOLDEN);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden_path, &report).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(&golden_path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        report, golden,
-        "compiled code drifted from {GOLDEN} — rerun with UPDATE_GOLDEN=1 and review the diff"
-    );
+    check_golden(root, GOLDEN, &report);
+    check_golden(root, WORK_GOLDEN, &work);
 }
