@@ -129,7 +129,9 @@ pub enum NoPipeline {
 pub struct PipelineOutcome {
     /// The plan, or the reason there is none.
     pub result: Result<LoopPlan, NoPipeline>,
-    /// The machine dependence graph (reused by the fallback scheduler).
+    /// The loop-semantics machine dependence graph the search ran on.
+    /// Only its `dep_tests` is read downstream: a loop that falls back
+    /// to list scheduling gets a fresh non-loop graph.
     pub graph: MDepGraph,
 }
 
@@ -216,48 +218,58 @@ fn res_mii(block: &VBlock) -> u32 {
 #[derive(Debug, Clone)]
 struct Mrt {
     ii: u32,
-    busy: Vec<Vec<bool>>, // [fu slot_index][kernel slot]
-    /// Register write-port usage: (reg, kernel slot) pairs taken.
-    writes: HashMap<(Reg, u32), usize>,
+    /// Unit occupancy, indexed `[fu slot_index * ii + kernel slot]`.
+    busy: Vec<bool>,
+    /// Register write-port owner (op index), indexed `[reg * ii + kernel
+    /// slot]`; sized from the block's largest destination register.
+    writes: Vec<Option<usize>>,
 }
 
 impl Mrt {
-    fn new(ii: u32) -> Self {
+    fn new(ii: u32, block: &VBlock) -> Self {
+        let regs = block
+            .ops
+            .iter()
+            .filter_map(op_dst)
+            .map(|r| r.0 as usize + 1)
+            .max();
         Mrt {
             ii,
-            busy: vec![vec![false; ii as usize]; 7],
-            writes: HashMap::new(),
+            busy: vec![false; FuKind::ALL.len() * ii as usize],
+            writes: vec![None; regs.unwrap_or(0) * ii as usize],
         }
+    }
+
+    /// Index of `time`'s kernel slot in row `row` of a table.
+    fn at(&self, row: usize, time: u32) -> usize {
+        row * self.ii as usize + (time % self.ii) as usize
+    }
+
+    fn busy(&self, fu: FuKind, time: u32) -> bool {
+        self.busy[self.at(fu.slot_index(), time)]
     }
 
     fn fits(&self, fu: FuKind, time: u32, occ: u32, dst: Option<Reg>, op_idx: usize) -> bool {
         if occ >= self.ii && occ > 1 {
             return false; // iterative op longer than the whole kernel
         }
-        for k in 0..occ {
-            let slot = ((time + k) % self.ii) as usize;
-            if self.busy[fu.slot_index()][slot] {
-                return false;
-            }
+        if (0..occ).any(|k| self.busy(fu, time + k)) {
+            return false;
         }
-        if let Some(d) = dst {
-            let slot = time % self.ii;
-            if let Some(&owner) = self.writes.get(&(d, slot)) {
-                if owner != op_idx {
-                    return false;
-                }
-            }
-        }
-        true
+        // The write port is free, or already this op's.
+        dst.is_none_or(|d| {
+            self.writes[self.at(d.0 as usize, time)].is_none_or(|owner| owner == op_idx)
+        })
     }
 
     fn reserve(&mut self, fu: FuKind, time: u32, occ: u32, dst: Option<Reg>, op_idx: usize) {
         for k in 0..occ {
-            let slot = ((time + k) % self.ii) as usize;
-            self.busy[fu.slot_index()][slot] = true;
+            let slot = self.at(fu.slot_index(), time + k);
+            self.busy[slot] = true;
         }
         if let Some(d) = dst {
-            self.writes.insert((d, time % self.ii), op_idx);
+            let slot = self.at(d.0 as usize, time);
+            self.writes[slot] = Some(op_idx);
         }
     }
 }
@@ -269,33 +281,21 @@ fn op_dst(op: &VOp) -> Option<Reg> {
     }
 }
 
-/// Attempts a modulo schedule at a fixed `ii`. Returns placements and
-/// adds probes to `attempts`.
+/// Attempts a modulo schedule at a fixed `ii`, placing ops in `order`.
+/// Returns placements and adds probes to `attempts`.
 fn try_ii(
     block: &VBlock,
     graph: &MDepGraph,
+    order: &[usize],
     ii: u32,
     attempts: &mut usize,
 ) -> Option<(Vec<ModPlacement>, Mrt)> {
     let n = block.ops.len();
-    // Priority: height over distance-0 edges.
-    let mut height = vec![0u32; n];
-    for i in (0..n).rev() {
-        let lat = block.ops[i].opcode.timing().latency;
-        let mut best = lat;
-        for e in graph.succs_of(i).filter(|e| e.distance == 0) {
-            best = best.max(e.delay + height[e.to]);
-        }
-        height[i] = best;
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i));
-
     let mut time: Vec<Option<u32>> = vec![None; n];
-    let mut mrt = Mrt::new(ii);
+    let mut mrt = Mrt::new(ii, block);
     let mut placements = Vec::with_capacity(n);
 
-    for &i in &order {
+    for &i in order {
         // Earliest start from placed predecessors.
         let mut est: i64 = 0;
         for e in graph.preds_of(i) {
@@ -388,11 +388,16 @@ fn plan_inner(
         return Err(NoPipeline::UnrecognizedExit);
     };
 
+    // Priority: height over distance-0 edges, the same at every II.
+    let height = crate::sched::heights(block, graph);
+    let mut order: Vec<usize> = (0..block.ops.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i));
+
     let mii = res_mii(block);
     let mut attempts = 0usize;
     for ii in mii..=max_ii {
         let iis_tried = ii - mii + 1;
-        let Some((placements, mrt)) = try_ii(block, graph, ii, &mut attempts) else {
+        let Some((placements, mrt)) = try_ii(block, graph, &order, ii, &mut attempts) else {
             continue;
         };
         let max_t = placements.iter().map(|p| p.time).max().unwrap_or(0);
@@ -430,15 +435,14 @@ fn find_counter_slot(mrt: &Mrt, ii: u32) -> Option<CounterStrategy> {
     // Prefer an earlier word so the branch reads the fresh value.
     for slot in 0..ii.saturating_sub(1) {
         for fu in [FuKind::Alu, FuKind::Agu] {
-            if !mrt.busy[fu.slot_index()][slot as usize] {
+            if !mrt.busy(fu, slot) {
                 return Some(CounterStrategy::EarlierWord { slot, fu });
             }
         }
     }
     // Same word as the branch.
-    let last = (ii - 1) as usize;
     for fu in [FuKind::Alu, FuKind::Agu] {
-        if !mrt.busy[fu.slot_index()][last] {
+        if !mrt.busy(fu, ii - 1) {
             return Some(CounterStrategy::SameWord { fu });
         }
     }

@@ -115,23 +115,19 @@ pub fn list_schedule(block: &VBlock, graph: &MDepGraph) -> BlockSchedule {
     let mut out = Vec::with_capacity(n);
     let mut attempts = 0usize;
 
-    // Precompute dist-0 predecessor lists.
-    let mut preds: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    let mut npreds = vec![0usize; n];
-    for e in graph.edges.iter().filter(|e| e.distance == 0) {
-        preds[e.to].push((e.from, e.delay));
-        npreds[e.to] += 1;
-    }
-    let mut remaining_preds = npreds.clone();
+    let mut remaining_preds: Vec<usize> = (0..n)
+        .map(|i| graph.preds_of(i).filter(|e| e.distance == 0).count())
+        .collect();
     let mut ready: Vec<usize> = (0..n).filter(|&i| remaining_preds[i] == 0).collect();
 
     while placed < n {
         // Highest priority ready op (ties: earlier in program order).
         ready.sort_by_key(|&i| (std::cmp::Reverse(h[i]), i));
         let i = ready.remove(0);
-        let est = preds[i]
-            .iter()
-            .map(|&(p, delay)| scheduled_at[p].expect("pred scheduled") + delay)
+        let est = graph
+            .preds_of(i)
+            .filter(|e| e.distance == 0)
+            .map(|e| scheduled_at[e.from].expect("pred scheduled") + e.delay)
             .max()
             .unwrap_or(0);
         let timing = block.ops[i].opcode.timing();
