@@ -10,7 +10,7 @@ use parcc::farm::{compile_farm, FarmConfig};
 use parcc::threads::compile_parallel;
 use parcc::{
     compile_module_source, Build, BuildReport, CompileError, CompileOptions, CompileResult,
-    FarmCensus,
+    FarmCensus, FnCache,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -118,6 +118,59 @@ fn cold_farm_ships_hashes_warm_farm_ships_nothing() {
     assert_eq!(census(&warm_report).bytes_shipped, 0);
     assert_eq!(image_bytes(&cold), image_bytes(&warm));
     assert_eq!(cold.records, warm.records);
+}
+
+#[test]
+fn farm_over_an_in_memory_cache_stays_warm() {
+    // `warpd --farm N` without `--cache-dir`: the build's cache has no
+    // directory for the workers to store into, yet a second build of
+    // the same module must still be all hits.
+    let src = synthetic_program(FunctionSize::Small, 4);
+    let opts = CompileOptions::default();
+    let cfg = farm_config(2);
+    let cache = FnCache::in_memory();
+    let build = Build {
+        jobs: 2,
+        farm: Some(&cfg),
+        cache: Some(&cache),
+        ..Build::new(&src, &opts)
+    };
+    let sequential = compile_module_source(&src, &opts).expect("sequential");
+
+    let (cold, _) = build.run().expect("cold farm");
+    let n = cold.records.len();
+    assert_eq!(image_bytes(&sequential), image_bytes(&cold));
+    assert_eq!(cache.len(), n, "every object lands in the build's cache");
+
+    let (warm, report) = build.run().expect("warm farm");
+    assert_eq!(report.cache_hits, n);
+    assert_eq!(census(&report).spawned, 0, "warm build spawned workers");
+    assert!(census(&report).pids.is_empty(), "{report:?}");
+    assert_eq!(image_bytes(&cold), image_bytes(&warm));
+}
+
+#[test]
+fn farm_survives_a_cache_dir_replaced_by_a_file() {
+    let src = synthetic_program(FunctionSize::Small, 4);
+    let opts = CompileOptions::default();
+    let scratch = Scratch::new("filed");
+    let dir = scratch.0.join("cache");
+    let cache = FnCache::with_dir(&dir).expect("cache dir");
+    std::fs::remove_dir(&dir).expect("remove cache dir");
+    std::fs::write(&dir, b"not a directory").expect("file in its place");
+
+    let cfg = farm_config(2);
+    let (farmed, report) = Build {
+        jobs: 2,
+        farm: Some(&cfg),
+        cache: Some(&cache),
+        ..Build::new(&src, &opts)
+    }
+    .run()
+    .expect("farm over a broken cache dir");
+    let sequential = compile_module_source(&src, &opts).expect("sequential");
+    assert_eq!(image_bytes(&sequential), image_bytes(&farmed));
+    assert_eq!(report.faults.fallbacks, 0, "{report:?}");
 }
 
 #[test]
