@@ -448,13 +448,8 @@ fn real_main() -> Result<(), String> {
             report.phase1_wall, report.compile_wall, report.workers, report.link_wall
         );
     }
-    if let Some(census) = &report.farm {
-        if args.cache_stats || args.cache_dir.is_some() {
-            eprintln!(
-                "farm cache: {} pre-dispatch hit(s), {} hash-shipped, {} bytes-shipped",
-                report.cache_hits, census.hash_shipped, census.bytes_shipped
-            );
-        }
+    if report.farm.is_some() && (args.cache_stats || args.cache_dir.is_some()) {
+        eprintln!("farm cache: {} pre-dispatch hit(s)", report.cache_hits);
     }
     if let Some((chaos, _)) = &faults {
         let s = report.faults;

@@ -56,8 +56,10 @@ pub struct Build<'a> {
     /// Compile the functions on a farm of `warpd-worker` processes
     /// instead of in this process.
     pub farm: Option<&'a FarmConfig>,
-    /// The incremental function cache; a farm build without one opens
-    /// [`FarmConfig::cache_dir`] (or a private scratch store).
+    /// The incremental function cache. A farm's workers store into its
+    /// directory; a farm build whose cache has no usable directory
+    /// opens [`FarmConfig::cache_dir`] (or a private scratch store) for
+    /// them instead.
     pub cache: Option<&'a FnCache>,
     /// Cross-request dedup over a shared `cache` (the `warpd` request
     /// path): every probe happens under a lease on the function's key,
@@ -91,11 +93,6 @@ pub struct FarmCensus {
     pub spawned: usize,
     /// Workers lost mid-build (killed, exited, or hung up).
     pub lost: usize,
-    /// Results that travelled as a content hash (object read from the
-    /// shared store).
-    pub hash_shipped: usize,
-    /// Results that travelled as hex object bytes in the frame.
-    pub bytes_shipped: usize,
 }
 
 /// What one build did: timings, faults survived, and for a farm build
@@ -156,7 +153,7 @@ impl<'a> Build<'a> {
         let jobs = self.jobs.max(1);
         let home = self
             .farm
-            .map(|cfg| farm::Home::open(cfg, self.cache.is_none()))
+            .map(|cfg| farm::Home::open(cfg, self.cache))
             .transpose()?;
         let driver = self.track.unwrap_or_else(|| {
             trace.track(if home.is_some() {

@@ -27,12 +27,14 @@
 //! lost worker's attempt simply comes back as crashed and is
 //! re-dispatched to whoever is alive.
 //!
-//! Compiled objects travel **content-addressed**: worker and
-//! coordinator share the build's on-disk [`FnCache`]; a worker stores
-//! its [`CachedFunction`] under the job's [`CacheKey`] and replies with
-//! the hash only. Warm builds therefore ship *no* object bytes at
-//! all. `ship_bytes` (or a cache without a directory) falls back to
-//! hex-encoded objects in the `done` frame.
+//! Compiled objects travel **content-addressed**, and only that way:
+//! a worker stores its [`CachedFunction`] under the job's [`CacheKey`]
+//! in a directory the coordinator opened and replies with the hash
+//! only, so no frame carries object bytes. That directory is the
+//! build's own [`FnCache`] directory when it has a usable one, else
+//! [`FarmConfig::cache_dir`] or a private store in the farm's scratch
+//! dir, whose objects the coordinator copies into the build's cache. A
+//! worker that cannot open the store refuses at handshake.
 //!
 //! Faults are first-class, decided by the same seeded [`ChaosPlan`]
 //! and survived by the same recovery loop as every executor — except
@@ -55,15 +57,13 @@ use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
-use warp_cache::{CacheKey, CacheValue};
+use warp_cache::CacheKey;
 use warp_obs::{Trace, TrackId};
-use warp_wire::{
-    from_hex, obj, read_message, to_hex, write_message, FrameError, Json, MAX_FRAME_DEFAULT,
-};
+use warp_wire::{obj, read_message, write_message, FrameError, Json, MAX_FRAME_DEFAULT};
 
 use crate::build::{Build, BuildReport, FarmCensus};
 use crate::driver::{
@@ -76,25 +76,21 @@ use crate::threads::ChaosAction;
 /// Version of the coordinator↔worker handshake. A worker whose
 /// `hello` carries a different number is rejected before any source
 /// is shipped.
-pub const FARM_PROTOCOL_VERSION: u32 = 1;
+pub const FARM_PROTOCOL_VERSION: u32 = 2;
 
 /// Configuration of a farm of worker processes.
 #[derive(Debug, Clone)]
 pub struct FarmConfig {
     /// Worker processes to spawn.
     pub workers: usize,
-    /// Shared on-disk object store for a build that brings no cache of
-    /// its own. `None` uses a private directory under the farm's
-    /// scratch dir (still shared with the workers, but discarded after
-    /// the build).
+    /// Shared on-disk object store for a build whose cache has no
+    /// usable directory of its own. `None` uses a private directory
+    /// under the farm's scratch dir (still shared with the workers, but
+    /// discarded after the build).
     pub cache_dir: Option<PathBuf>,
     /// Worker executable. `None` resolves `$WARPD_WORKER`, then a
     /// `warpd-worker` binary next to the current executable.
     pub worker_cmd: Option<PathBuf>,
-    /// Ship compiled objects as hex bytes in the `done` frame even
-    /// though a shared store exists (measures the content-addressing
-    /// win; also what an unshared-filesystem deployment would do).
-    pub ship_bytes: bool,
     /// How long the coordinator waits for spawned workers to connect
     /// and complete their handshake.
     pub handshake_timeout: Duration,
@@ -107,7 +103,6 @@ impl FarmConfig {
             workers: workers.max(1),
             cache_dir: None,
             worker_cmd: None,
-            ship_bytes: false,
             handshake_timeout: Duration::from_secs(10),
         }
     }
@@ -153,17 +148,18 @@ fn accept_until(listener: &UnixListener, deadline: Instant) -> io::Result<Option
 }
 
 /// What a farm build owns on disk: its scratch directory (socket,
-/// private store), removed on drop, and — for a build that brought no
-/// cache — the handle on the object store it shares with its workers.
-/// The directory name is unique per process *and* per farm so parallel
-/// builds in one process cannot collide.
+/// private store), removed on drop, and — for a build whose cache has
+/// no directory the workers can store into — the handle on the object
+/// store it shares with them instead. The directory name is unique per
+/// process *and* per farm so parallel builds in one process cannot
+/// collide.
 pub(crate) struct Home {
     pub(crate) dir: PathBuf,
     pub(crate) store: Option<FnCache>,
 }
 
 impl Home {
-    pub(crate) fn open(cfg: &FarmConfig, open_store: bool) -> Result<Home, CompileError> {
+    pub(crate) fn open(cfg: &FarmConfig, cache: Option<&FnCache>) -> Result<Home, CompileError> {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "warp-farm-{}-{}",
@@ -172,7 +168,10 @@ impl Home {
         ));
         std::fs::create_dir_all(&dir).map_err(|e| worker_err(format!("farm: temp dir: {e}")))?;
         let mut home = Home { dir, store: None };
-        if open_store {
+        let shared = cache
+            .and_then(FnCache::dir)
+            .is_some_and(|d| std::fs::create_dir_all(d).is_ok());
+        if !shared {
             let path = cfg
                 .cache_dir
                 .clone()
@@ -413,7 +412,11 @@ pub(crate) fn with_farm<R>(
     census: &mut FarmCensus,
     body: impl FnOnce(&mut dyn Executor) -> R,
 ) -> Result<R, CompileError> {
-    let cache = ctx.cache.expect("a farm build always has a store");
+    let own = ctx.cache.expect("a farm build always has a cache");
+    let store = home.store.as_ref().unwrap_or(own);
+    // What workers leave in a private store is copied into the build's
+    // own cache, so the next build over that cache hits.
+    let keep = (!std::ptr::eq(store, own)).then_some(own);
     let trace = ctx.trace;
     let n = ctx.fns.len();
     let sock = home.dir.join("farm.sock");
@@ -450,11 +453,10 @@ pub(crate) fn with_farm<R>(
     let spawned = children.iter().flatten().count();
 
     // Handshake every worker that shows up before the deadline. The
-    // workers store into the build's cache directory and reply with
-    // hashes; a cache without one (or `ship_bytes`) gets the bytes.
-    let store = cache.dir().filter(|_| !cfg.ship_bytes);
-    let store = store.map_or(String::new(), |d| d.display().to_string());
-    let welcome = encode_welcome(ctx.source, ctx.opts, ctx.options_fp, &store, n);
+    // workers store into `store`'s directory and reply with hashes.
+    let path = store.dir().expect("a farm store has a directory");
+    let path = path.display().to_string();
+    let welcome = encode_welcome(ctx.source, ctx.opts, ctx.options_fp, &path, n);
     let deadline = Instant::now() + cfg.handshake_timeout;
     // (connection stream, worker index) per handshaken connection.
     let mut conns: Vec<(UnixStream, usize)> = Vec::new();
@@ -488,17 +490,15 @@ pub(crate) fn with_farm<R>(
     census.spawned = conns.len();
 
     let queue = JobQueue::new(conns.len(), trace, coord);
-    // Objects that came back by hash, and as bytes.
-    let shipped = [AtomicUsize::new(0), AtomicUsize::new(0)];
     let (done_tx, done_rx) = channel();
     let out = std::thread::scope(|scope| {
         for (k, (stream, w)) in conns.into_iter().enumerate() {
-            let (queue, shipped) = (&queue, &shipped);
+            let queue = &queue;
             let (child, done_tx) = (children[w].take(), done_tx.clone());
             let track = trace.track(&format!("farm worker {w}"));
             scope.spawn(move || {
                 connection(
-                    k, w, stream, child, queue, ctx, cache, shipped, &done_tx, track,
+                    k, w, stream, child, queue, ctx, store, keep, &done_tx, track,
                 );
             });
         }
@@ -517,12 +517,12 @@ pub(crate) fn with_farm<R>(
         reap(c, Duration::from_millis(100));
     }
     census.lost = census.spawned - queue.alive();
-    [census.hash_shipped, census.bytes_shipped] = shipped.map(AtomicUsize::into_inner);
     Ok(out)
 }
 
 /// One connection thread: takes attempts from the queue as slot `k`,
-/// ships each to worker `w`, and answers with its [`Outcome`]. The
+/// ships each to worker `w`, reads each object back from `store` (and
+/// copies it into `keep`), and answers with its [`Outcome`]. The
 /// worker dying under an attempt — killed by chaos, hung up on by the
 /// master, or gone by itself — is that attempt's `Crashed` and the end
 /// of this connection. Owns (and always reaps) the worker's `Child`.
@@ -534,8 +534,8 @@ fn connection(
     mut child: Option<Child>,
     queue: &JobQueue<'_>,
     ctx: &Ctx<'_>,
-    cache: &FnCache,
-    shipped: &[AtomicUsize; 2],
+    store: &FnCache,
+    keep: Option<&FnCache>,
     done_tx: &Sender<(usize, Outcome)>,
     track: TrackId,
 ) {
@@ -571,12 +571,15 @@ fn connection(
             }
         }
         // `None`: the worker is gone (or broke protocol).
-        let reply = sent.then(|| read_reply(&mut stream, job, key, cache, shipped));
+        let reply = sent.then(|| read_reply(&mut stream, job, key, store));
         let reply = reply.flatten();
         trace.counter(&in_flight, track, trace.now_ns(), 0.0);
         let lost = reply.is_none();
         let outcome = match reply {
             Some(Ok(cf)) => {
+                if let Some(own) = keep {
+                    own.store(key, cf.clone());
+                }
                 let dur = trace.now_ns().saturating_sub(ts0);
                 let args = vec![("attempt", attempt as f64)];
                 trace.record_span("farm", ctx.names[job], track, ts0, dur, args);
@@ -615,16 +618,14 @@ fn connection(
 }
 
 /// Reads worker frames until `job` resolves: `Some(Ok)` with the
-/// object (fetched from the shared store by hash, or decoded from the
-/// frame and stored), `Some(Err)` with a worker-reported compile
-/// failure, `None` when the connection died or the worker broke
-/// protocol.
+/// object fetched from the shared store by hash, `Some(Err)` with a
+/// worker-reported compile failure, `None` when the connection died or
+/// the worker broke protocol.
 fn read_reply(
     stream: &mut UnixStream,
     job: usize,
     key: CacheKey,
-    cache: &FnCache,
-    shipped: &[AtomicUsize; 2],
+    store: &FnCache,
 ) -> Option<Result<CachedFunction, String>> {
     loop {
         let msg = read_message(stream, MAX_FRAME_DEFAULT, || true)
@@ -635,19 +636,9 @@ fn read_reply(
                 if msg.u64_field("job") != Some(job as u64) {
                     return None;
                 }
-                let via_hash = msg.bool_field("stored").unwrap_or(false);
                 // A hash announced but an object unreadable is a
                 // protocol violation: drop the worker.
-                let cf = if via_hash {
-                    cache.lookup(key)?
-                } else {
-                    let bytes = from_hex(msg.str_field("image_hex")?).ok()?;
-                    let cf = CachedFunction::from_bytes(&bytes)?;
-                    cache.store(key, cf.clone());
-                    cf
-                };
-                shipped[usize::from(!via_hash)].fetch_add(1, Ordering::Relaxed);
-                return Some(Ok(cf));
+                return store.lookup(key).map(Ok);
             }
             Some("fail") => {
                 let msg = msg.str_field("message");
@@ -744,6 +735,18 @@ fn worker_loop(addr: &str, worker: usize) -> Result<i32, String> {
         let _ = write_message(&mut stream, &note("error", "message", &message));
         return Ok(2);
     }
+    // Objects go home only through the store the coordinator opened.
+    let cache = match welcome.str_field("cache").unwrap_or("") {
+        "" => Err("welcome names no object store".to_string()),
+        path => FnCache::with_dir(path).map_err(|e| format!("object store {path}: {e}")),
+    };
+    let cache = match cache {
+        Ok(cache) => cache,
+        Err(message) => {
+            let _ = write_message(&mut stream, &note("error", "message", &message));
+            return Ok(2);
+        }
+    };
 
     let trace = Trace::disabled();
     let track = trace.track("worker");
@@ -762,13 +765,6 @@ fn worker_loop(addr: &str, worker: usize) -> Result<i32, String> {
         return Ok(2);
     }
 
-    let cache_path = welcome.str_field("cache").unwrap_or("");
-    let cache: Option<FnCache> = if cache_path.is_empty() {
-        None
-    } else {
-        FnCache::with_dir(cache_path).ok()
-    };
-
     let ready = obj(vec![
         ("kind", Json::Str("ready".into())),
         ("worker", Json::Num(worker as f64)),
@@ -777,8 +773,7 @@ fn worker_loop(addr: &str, worker: usize) -> Result<i32, String> {
     write_message(&mut stream, &ready).map_err(|e| format!("ready: {e}"))?;
 
     // One job: validate it against the local parse, fetch or compile
-    // the object, store it, and say how it travels. `Err` is the
-    // message of a `fail` frame.
+    // the object, and store it. `Err` is the message of a `fail` frame.
     let serve = |msg: &Json, job: u64| -> Result<Json, String> {
         let si = msg.u64_field("section").unwrap_or(0) as usize;
         let fi = msg.u64_field("function").unwrap_or(0) as usize;
@@ -798,26 +793,18 @@ fn worker_loop(addr: &str, worker: usize) -> Result<i32, String> {
         // Another worker may have landed this object already (a
         // retried job): a store hit costs one lookup and ships a hash
         // instead of a compile.
-        let cached = cache
-            .as_ref()
-            .and_then(|c| probe(c, key, &func.name, &trace, track));
-        let cf = match cached {
+        let cf = match probe(&cache, key, &func.name, &trace, track) {
             Some(cf) => cf,
             None => compile_function_traced(&checked, &source, si, fi, &opts, &trace, track)
                 .map(|(image, record)| CachedFunction { image, record })
                 .map_err(|e| e.to_string())?,
         };
-        let mut reply = vec![
+        cache.store(key, cf);
+        Ok(obj(vec![
             ("kind", Json::Str("done".into())),
             ("job", Json::Num(job as f64)),
             ("key", Json::Str(key.hex())),
-            ("stored", Json::Bool(cache.is_some())),
-        ];
-        match &cache {
-            Some(c) => c.store(key, cf),
-            None => reply.push(("image_hex", Json::Str(to_hex(&cf.to_bytes())))),
-        }
-        Ok(obj(reply))
+        ]))
     };
 
     loop {
@@ -937,6 +924,40 @@ mod tests {
         assert_eq!(options_fingerprint(&decoded), fp);
         assert_eq!(w.str_field("fingerprint").unwrap(), format!("{fp:016x}"));
         assert_eq!(w.u64_field("functions"), Some(5));
+    }
+
+    #[test]
+    fn a_worker_that_cannot_open_its_store_refuses_at_handshake() {
+        let dir = std::env::temp_dir().join(format!("warp-refuse-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("not-a-dir");
+        std::fs::write(&file, b"regular file").unwrap();
+        let file = file.display().to_string();
+        for (i, store) in [file.as_str(), ""].into_iter().enumerate() {
+            let sock = dir.join(format!("w{i}.sock"));
+            let listener = UnixListener::bind(&sock).unwrap();
+            let addr = format!("unix:{}", sock.display());
+            let worker = std::thread::spawn(move || run_worker(&addr, 0));
+            let (mut coord_side, _) = listener.accept().unwrap();
+            let hello = read_message(&mut coord_side, MAX_FRAME_DEFAULT, || true)
+                .unwrap()
+                .unwrap();
+            assert_eq!(hello.str_field("kind"), Some("hello"));
+            let opts = CompileOptions::default();
+            let fp = options_fingerprint(&opts);
+            let src = "module m; section s on cells 0..0; function f() begin end; end;";
+            let welcome = encode_welcome(src, &opts, fp, store, 1);
+            write_message(&mut coord_side, &welcome).unwrap();
+            let reply = read_message(&mut coord_side, MAX_FRAME_DEFAULT, || true)
+                .unwrap()
+                .unwrap();
+            assert_eq!(reply.str_field("kind"), Some("error"), "store `{store}`");
+            let message = reply.str_field("message").unwrap();
+            assert!(message.contains("object store"), "{message}");
+            assert!(message.contains(store), "{message}");
+            assert_eq!(worker.join().unwrap(), 2, "store `{store}`");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -97,12 +97,20 @@ fn cold_farm_ships_hashes_warm_farm_ships_nothing() {
     };
 
     // Cold: every object travels as a content hash through the shared
-    // store — never as bytes in the frame.
+    // store, so each one is left there.
     let (cold, cold_report) = compile_farm(&src, &opts, &cfg).expect("cold farm");
     let n = cold.records.len();
     assert_eq!(cold_report.cache_hits, 0);
-    assert_eq!(census(&cold_report).hash_shipped, n, "{cold_report:?}");
-    assert_eq!(census(&cold_report).bytes_shipped, 0, "{cold_report:?}");
+    assert_eq!(cold_report.faults.fallbacks, 0, "{cold_report:?}");
+    let store = cfg.cache_dir.as_ref().expect("store dir");
+    let objects = std::fs::read_dir(store)
+        .expect("store dir")
+        .filter(|e| {
+            let path = e.as_ref().expect("dir entry").path();
+            path.extension().is_some_and(|x| x == "wco")
+        })
+        .count();
+    assert_eq!(objects, n, "one stored object per function");
 
     // Warm: every job resolves from the store before dispatch; no
     // worker process is even spawned.
@@ -114,8 +122,6 @@ fn cold_farm_ships_hashes_warm_farm_ships_nothing() {
         "warm build spawned workers"
     );
     assert!(census(&warm_report).pids.is_empty(), "{warm_report:?}");
-    assert_eq!(census(&warm_report).hash_shipped, 0);
-    assert_eq!(census(&warm_report).bytes_shipped, 0);
     assert_eq!(image_bytes(&cold), image_bytes(&warm));
     assert_eq!(cold.records, warm.records);
 }
@@ -171,25 +177,6 @@ fn farm_survives_a_cache_dir_replaced_by_a_file() {
     let sequential = compile_module_source(&src, &opts).expect("sequential");
     assert_eq!(image_bytes(&sequential), image_bytes(&farmed));
     assert_eq!(report.faults.fallbacks, 0, "{report:?}");
-}
-
-#[test]
-fn ship_bytes_mode_is_identical_but_pays_in_bytes() {
-    let src = synthetic_program(FunctionSize::Small, 5);
-    let opts = CompileOptions::default();
-    let cfg = FarmConfig {
-        ship_bytes: true,
-        ..farm_config(2)
-    };
-    let sequential = compile_module_source(&src, &opts).expect("sequential");
-    let (farmed, report) = compile_farm(&src, &opts, &cfg).expect("farm");
-    assert_eq!(image_bytes(&sequential), image_bytes(&farmed));
-    assert_eq!(
-        census(&report).bytes_shipped,
-        farmed.records.len(),
-        "{report:?}"
-    );
-    assert_eq!(census(&report).hash_shipped, 0, "{report:?}");
 }
 
 #[test]

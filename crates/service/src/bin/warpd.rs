@@ -13,8 +13,10 @@
 //!   --cache-dir DIR     persistent cache tier (default: in-memory)
 //!   --farm N            compile on a build farm of N warpd-worker
 //!                       OS processes instead of in-process threads;
-//!                       the farm shares --cache-dir as its object
-//!                       store (see docs/FARM.md)
+//!                       workers store into --cache-dir, or without
+//!                       it into a private per-build store whose
+//!                       objects land in the in-memory cache
+//!                       (see docs/FARM.md)
 //!   --max-frame BYTES   frame size limit (default: 16777216)
 //!   --trace FILE        write a Chrome trace_event JSON file with
 //!                       per-request `service` spans on shutdown

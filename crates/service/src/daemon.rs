@@ -79,9 +79,10 @@ pub struct DaemonConfig {
     pub cache_dir: Option<PathBuf>,
     /// Compile on a build farm of this many real `warpd-worker` OS
     /// processes ([`parcc::farm`]) instead of in-process threads.
-    /// The farm shares the daemon's cache as its content-addressed
-    /// object store (by hash when `cache_dir` is set, by bytes
-    /// otherwise).
+    /// The farm's workers store into `cache_dir` when it is set;
+    /// without it they store into a private directory of each build,
+    /// and the coordinator copies their objects into the daemon's
+    /// in-memory cache. Objects travel by hash either way.
     pub farm_workers: Option<usize>,
     /// Maximum accepted frame payload, bytes.
     pub max_frame: usize,
@@ -284,9 +285,9 @@ impl Shared {
         // `0` means "daemon default"; the cap keeps a hostile request
         // from interning an unbounded number of worker tracks.
         let jobs = resolve_jobs(jobs as usize).min(MAX_JOBS_PER_REQUEST);
-        // One pipeline either way; a farm's worker processes share the
-        // daemon's cache as their object store (and dedup through it —
-        // the pipeline ignores the in-process lease table for them).
+        // One pipeline either way; a farm's worker processes meet in
+        // an on-disk store (see `DaemonConfig::farm_workers`), so the
+        // pipeline ignores the in-process lease table for them.
         let result = Build {
             jobs,
             farm: self.farm.as_ref(),
