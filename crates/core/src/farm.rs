@@ -686,6 +686,13 @@ pub fn run_worker(addr: &str, worker: usize) -> i32 {
     }
 }
 
+/// Answers the handshake with `error` instead of `ready`: the exit code
+/// of a worker that refuses the build.
+fn refuse(stream: &mut UnixStream, message: &str) -> Result<i32, String> {
+    let _ = write_message(stream, &note("error", "message", message));
+    Ok(2)
+}
+
 fn worker_loop(addr: &str, worker: usize) -> Result<i32, String> {
     let mut stream = connect(addr)?;
     stream
@@ -732,20 +739,15 @@ fn worker_loop(addr: &str, worker: usize) -> Result<i32, String> {
             "options fingerprint mismatch: coordinator {coord_fp}, worker {options_fp:016x} \
              (an option the farm wire cannot express?)"
         );
-        let _ = write_message(&mut stream, &note("error", "message", &message));
-        return Ok(2);
+        return refuse(&mut stream, &message);
     }
     // Objects go home only through the store the coordinator opened.
     let cache = match welcome.str_field("cache").unwrap_or("") {
-        "" => Err("welcome names no object store".to_string()),
-        path => FnCache::with_dir(path).map_err(|e| format!("object store {path}: {e}")),
-    };
-    let cache = match cache {
-        Ok(cache) => cache,
-        Err(message) => {
-            let _ = write_message(&mut stream, &note("error", "message", &message));
-            return Ok(2);
-        }
+        "" => return refuse(&mut stream, "welcome names no object store"),
+        path => match FnCache::with_dir(path) {
+            Ok(cache) => cache,
+            Err(e) => return refuse(&mut stream, &format!("object store {path}: {e}")),
+        },
     };
 
     let trace = Trace::disabled();
@@ -761,8 +763,7 @@ fn worker_loop(addr: &str, worker: usize) -> Result<i32, String> {
     let expected = welcome.u64_field("functions").unwrap_or(0) as usize;
     if n != expected {
         let message = format!("parsed {n} functions, coordinator announced {expected}");
-        let _ = write_message(&mut stream, &note("error", "message", &message));
-        return Ok(2);
+        return refuse(&mut stream, &message);
     }
 
     let ready = obj(vec![
